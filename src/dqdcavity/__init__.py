@@ -15,11 +15,12 @@ from .dynamics import (
     SpectrumResult,
     default_omega_grid,
     default_tau_grid,
+    exp_decay_sum,
     find_spectrum_peaks,
     g2,
     g2_zero,
     g2_zero_from_state,
-    g2_zero_unsquared,
+    lorentzian_sum,
     pl_spectrum,
     two_time_correlation,
 )
@@ -29,12 +30,6 @@ from .errors import (
     DiagonalizationError,
     SteadyStateConvergenceError,
     UndefinedObservableError,
-)
-from .kernels import (
-    HAS_NUMBA,
-    exp_decay_sum,
-    lorentzian_sum,
-    numba_enabled,
 )
 from .hilbert import (
     G,
@@ -49,8 +44,6 @@ from .hilbert import (
 from .liouvillian import (
     SuperoperatorMatrix,
     build_liouvillian,
-    commutator_super,
-    dissipator_super,
     trace_functional,
     unvec,
     vec,
@@ -112,7 +105,6 @@ __all__ = [
     "DensityMatrix",
     "DiagonalizationError",
     "ExceptionalPointScan",
-    "HAS_NUMBA",
     "ModelParams",
     "OperatorMatrix",
     "PhatRates",
@@ -129,10 +121,8 @@ __all__ = [
     "annihilation",
     "build_liouvillian",
     "build_space",
-    "commutator_super",
     "default_omega_grid",
     "default_tau_grid",
-    "dissipator_super",
     "evaluate_point",
     "exceptional_point_scan",
     "exp_decay_sum",
@@ -141,14 +131,12 @@ __all__ = [
     "g2",
     "g2_zero",
     "g2_zero_from_state",
-    "g2_zero_unsquared",
     "hamiltonian",
     "identity",
     "jump_operators",
     "liouvillian_block_crosscheck",
     "load_output_schema",
     "lorentzian_sum",
-    "numba_enabled",
     "panel_lines_csv",
     "panel_spectra_csv",
     "phat_rates",

@@ -12,10 +12,8 @@ numerical failure (failing parameter point printed).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import datetime
-import io
 import json
 import os
 import sys
@@ -23,7 +21,7 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .dynamics import default_omega_grid, default_tau_grid, g2, pl_spectrum
+from .dynamics import default_omega_grid, g2, pl_spectrum
 from .errors import (
     DegenerateSteadyStateError,
     DiagonalizationError,
@@ -36,6 +34,7 @@ from .steadystate import steady_observables
 from .sweep import (
     SweepAxis,
     SweepSpec,
+    csv_table,
     panel_lines_csv,
     panel_spectra_csv,
     run_spectra_panel,
@@ -276,27 +275,12 @@ def _emit(cfg: RunConfig, text: str) -> None:
             fh.write(text)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def _cmd_steady(cfg: RunConfig) -> int:
     values = steady_observables(cfg.params, n_max=cfg.options["n_max"])
     if cfg.options["format"] == "json":
         text = json.dumps(_envelope("steady", cfg, values), indent=2, sort_keys=True)
     else:
-        text = _csv_text(list(values), [[values[k] for k in values]])
+        text = csv_table(list(values), [[values[k] for k in values]])
     _emit(cfg, text)
     return 0
 
@@ -316,7 +300,7 @@ def _cmd_lines(cfg: RunConfig) -> int:
         text = json.dumps(_envelope("lines", cfg, records), indent=2, sort_keys=True)
     else:
         header = ["line_index", "frequency_mev", "offset_mev", "hwhm_mev"]
-        text = _csv_text(header, [[r[h] for h in header] for r in records])
+        text = csv_table(header, [[r[h] for h in header] for r in records])
     _emit(cfg, text)
     return 0
 
@@ -358,7 +342,7 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
             [float(w), float(off), float(i)]
             for w, off, i in zip(result.frequencies, result.offsets, intensities)
         ]
-        text = _csv_text(["omega_mev", "offset_mev", "intensity"], rows)
+        text = csv_table(["omega_mev", "offset_mev", "intensity"], rows)
     _emit(cfg, text)
     return 0
 
@@ -381,7 +365,7 @@ def _cmd_g2(cfg: RunConfig) -> int:
         text = json.dumps(_envelope("g2", cfg, data), indent=2, sort_keys=True)
     else:
         rows = [[t, t * kappa, v] for t, v in pairs]
-        text = _csv_text(["tau_hbar_per_mev", "tau_kappa", "g2"], rows)
+        text = csv_table(["tau_hbar_per_mev", "tau_kappa", "g2"], rows)
     _emit(cfg, text)
     return 0
 

@@ -13,22 +13,53 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
 
 from .errors import BasisMismatchError, DiagonalizationError, UndefinedObservableError
 from .hilbert import CompositeBasis, OperatorMatrix, annihilation
-from .kernels import exp_decay_sum, lorentzian_sum
 from .liouvillian import SuperoperatorMatrix, build_liouvillian, vec
 from .model import ModelParams
 from .steadystate import DensityMatrix, expectation, steady_state
 
 # relative residue cutoff; modes this far below the strongest carry no weight
 _AMPLITUDE_CUTOFF = 1e-14
+# peaks need at least this fraction of the maximum intensity as prominence
+_PEAK_REL_PROMINENCE = 0.05
+_TAU_POINTS = 200
 
 
 def _readout_row(op: np.ndarray) -> np.ndarray:
     # Tr[A unvec(x)] with column-stacked x is the row-major ravel of A dotted with x
     return op.ravel(order="C")
+
+
+def lorentzian_sum(omegas: np.ndarray, amplitudes: np.ndarray, poles: np.ndarray) -> np.ndarray:
+    """Sum of complex Lorentzians Re[c_k / (-lambda_k - i w)] on a frequency grid.
+
+    Parameters
+    ----------
+    omegas : real array, shape (n_w,)
+    amplitudes : complex array, shape (n_k,)
+        Residues c_k.
+    poles : complex array, shape (n_k,)
+        Generator eigenvalues lambda_k (Re <= 0 for a relaxing system).
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    poles = np.asarray(poles, dtype=complex)
+    if amplitudes.shape != poles.shape:
+        raise ValueError("amplitudes and poles must have identical shapes")
+    denom = -poles[:, None] - 1j * omegas[None, :]
+    return np.sum((amplitudes[:, None] / denom).real, axis=0)
+
+
+def exp_decay_sum(taus: np.ndarray, weights: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Complex mode sum sum_k w_k exp(lambda_k tau) on a delay grid."""
+    taus = np.asarray(taus, dtype=float)
+    weights = np.asarray(weights, dtype=complex)
+    rates = np.asarray(rates, dtype=complex)
+    if weights.shape != rates.shape:
+        raise ValueError("weights and rates must have identical shapes")
+    return np.sum(weights[:, None] * np.exp(rates[:, None] * taus[None, :]), axis=0)
 
 
 @dataclass(frozen=True)
@@ -201,14 +232,14 @@ def pl_spectrum(
     omega_grid=None,
     *,
     n_max: int = 3,
-    amplitude_cutoff: float = _AMPLITUDE_CUTOFF,
 ) -> SpectrumResult:
     """Cavity emission spectrum I(w) = (kappa/pi) Re sum_k c_k / (-lambda_k - i w).
 
     The residues c_k come from expanding vec(rho_ss a^dag) over generator
     eigenvectors and reading out with a, i.e. the half-Fourier transform of
     <a^dag(0) a(tau)>. No overall normalization beyond the kappa/pi prefactor,
-    so integrating I over a wide grid recovers kappa <a^dag a>.
+    so integrating I over a wide grid recovers kappa <a^dag a>. Modes whose
+    residue is below 1e-14 of the largest are dropped.
     """
     if omega_grid is None:
         omega_grid = default_omega_grid(params)
@@ -221,7 +252,7 @@ def pl_spectrum(
     obs_row = _readout_row(a.entries)
     weights, lams = _mode_weights(lio.entries, seed, obs_row)
     top = float(np.abs(weights).max(initial=0.0))
-    keep = np.abs(weights) > amplitude_cutoff * top
+    keep = np.abs(weights) > _AMPLITUDE_CUTOFF * top
     if not keep.any():
         keep = np.abs(weights) == top
     weights, lams = weights[keep], lams[keep]
@@ -237,13 +268,15 @@ def pl_spectrum(
     )
 
 
-def find_spectrum_peaks(spectrum: SpectrumResult, rel_prominence: float = 0.05) -> list[SpectrumPeak]:
-    """Peaks of the intensity curve with prominence >= rel_prominence * max.
+def find_spectrum_peaks(spectrum: SpectrumResult) -> list[SpectrumPeak]:
+    """Peaks of the intensity curve with prominence >= 0.05 * max.
 
     Requires a uniform frequency grid. The half width is half the peak's width
     measured at half prominence, which for an isolated line on a flat
     background is the usual Lorentzian HWHM.
     """
+    import scipy.signal  # its import costs more than the rest of the package
+
     freqs = spectrum.frequencies
     y = spectrum.intensities
     if freqs.size < 3:
@@ -255,7 +288,7 @@ def find_spectrum_peaks(spectrum: SpectrumResult, rel_prominence: float = 0.05) 
     top = float(y.max(initial=0.0))
     if top <= 0.0:
         return []
-    idx, props = scipy.signal.find_peaks(y, prominence=rel_prominence * top)
+    idx, props = scipy.signal.find_peaks(y, prominence=_PEAK_REL_PROMINENCE * top)
     if idx.size == 0:
         return []
     widths, _, _, _ = scipy.signal.peak_widths(y, idx, rel_height=0.5)
@@ -279,6 +312,16 @@ def _second_moment_ops(basis: CompositeBasis):
     return a, num, pair
 
 
+def _photon_number(rho: DensityMatrix, num: OperatorMatrix) -> float:
+    """<a^dag a> in rho; raises when it is too small to normalize g2 by."""
+    n_avg = expectation(rho, num).real
+    if n_avg <= 1e-12:
+        raise UndefinedObservableError(
+            f"photon number {n_avg:.3e} too small for a normalized g2"
+        )
+    return n_avg
+
+
 def g2_zero(params: ModelParams, *, n_max: int = 3) -> float:
     """g2(0) = <a^dag a^dag a a> / <a^dag a>^2 from the steady state alone."""
     basis = CompositeBasis(n_max)
@@ -289,35 +332,15 @@ def g2_zero(params: ModelParams, *, n_max: int = 3) -> float:
 def g2_zero_from_state(rho: DensityMatrix) -> float:
     """Equal-time g2 evaluated on an already-computed steady state."""
     _, num, pair = _second_moment_ops(rho.basis)
-    n_avg = expectation(rho, num).real
-    if n_avg <= 1e-12:
-        raise UndefinedObservableError(
-            f"photon number {n_avg:.3e} too small for a normalized g2"
-        )
+    n_avg = _photon_number(rho, num)
     return expectation(rho, pair).real / n_avg**2
 
 
-def g2_zero_unsquared(params: ModelParams, *, n_max: int = 3) -> float:
-    """The raw ratio <a^dag a^dag a a> / <a^dag a> (denominator not squared).
-
-    Exposed for comparison only; the normalized statistics use g2_zero.
-    """
-    basis = CompositeBasis(n_max)
-    rho = steady_state(build_liouvillian(params, basis))
-    _, num, pair = _second_moment_ops(basis)
-    n_avg = expectation(rho, num).real
-    if n_avg <= 1e-12:
-        raise UndefinedObservableError(
-            f"photon number {n_avg:.3e} too small for a normalized g2"
-        )
-    return expectation(rho, pair).real / n_avg
-
-
-def default_tau_grid(params: ModelParams, points: int = 200) -> np.ndarray:
-    """Geometric delay grid from 1e-3/kappa to 1e2/kappa (units hbar/meV)."""
+def default_tau_grid(params: ModelParams) -> np.ndarray:
+    """Geometric delay grid of 200 points from 1e-3/kappa to 1e2/kappa (units hbar/meV)."""
     if params.kappa <= 0.0:
         raise ValueError("tau grid needs kappa > 0 to set the delay scale")
-    return np.geomspace(1e-3 / params.kappa, 1e2 / params.kappa, points)
+    return np.geomspace(1e-3 / params.kappa, 1e2 / params.kappa, _TAU_POINTS)
 
 
 def g2(params: ModelParams, taus=None, *, n_max: int = 3) -> list[tuple[float, float]]:
@@ -330,11 +353,7 @@ def g2(params: ModelParams, taus=None, *, n_max: int = 3) -> list[tuple[float, f
     lio = build_liouvillian(params, basis)
     rho = steady_state(lio)
     a, num, _ = _second_moment_ops(basis)
-    n_avg = expectation(rho, num).real
-    if n_avg <= 1e-12:
-        raise UndefinedObservableError(
-            f"photon number {n_avg:.3e} too small for a normalized g2"
-        )
+    n_avg = _photon_number(rho, num)
     if taus is None:
         taus = default_tau_grid(params)
     corr = two_time_correlation(lio, rho, a.dag(), a, num, taus)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatchError
-from .hilbert import CompositeBasis, OperatorMatrix
+from .hilbert import CompositeBasis
 from .model import ModelParams, hamiltonian, jump_operators
 
 
@@ -56,23 +56,11 @@ class SuperoperatorMatrix:
         return float(np.abs(self.entries).sum(axis=1).max())
 
 
-def dissipator_super(op: OperatorMatrix) -> SuperoperatorMatrix:
-    """Superoperator of the Lindblad dissipator D[O] rho = O rho O^dag - {O^dag O, rho}/2."""
-    o = op.entries
-    odo = o.conj().T @ o
-    eye = np.eye(op.basis.dim)
-    sup = np.kron(o.conj(), o) - 0.5 * np.kron(eye, odo) - 0.5 * np.kron(odo.T, eye)
-    return SuperoperatorMatrix(op.basis, sup)
-
-
-def commutator_super(h: OperatorMatrix) -> SuperoperatorMatrix:
-    """Superoperator of -i[H, .]."""
-    eye = np.eye(h.basis.dim)
-    return SuperoperatorMatrix(h.basis, -1j * (np.kron(eye, h.entries) - np.kron(h.entries.T, eye)))
-
-
 def build_liouvillian(params: ModelParams, basis: CompositeBasis) -> SuperoperatorMatrix:
-    """Full generator: coherent part plus all active jump channels."""
+    """Full generator -i[H, .] + sum_k rate_k D[O_k] over all active jump channels.
+
+    D[O] rho = O rho O^dag - {O^dag O, rho}/2 is the Lindblad dissipator.
+    """
     h = hamiltonian(params, basis)
     eye = np.eye(basis.dim)
     # accumulate in place; each kron of dim^2 x dim^2 is the dominant allocation

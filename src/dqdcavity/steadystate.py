@@ -19,6 +19,8 @@ from .model import ModelParams
 # reciprocal condition of the trace-row system below this means the kernel
 # itself is degenerate, not merely a slow relaxation mode
 _RCOND_FLOOR = 1e-13
+# the returned state satisfies ||L vec(rho)||_inf <= _RTOL * ||L||_inf
+_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,6 @@ def steady_state(
     liouvillian: SuperoperatorMatrix,
     *,
     method: str = "lu",
-    rtol: float = 1e-10,
 ) -> DensityMatrix:
     """Unique stationary density matrix of the generator.
 
@@ -61,15 +62,13 @@ def steady_state(
         "lu" replaces the first (redundant) row with the trace functional and
         solves the dense linear system. "eigen" extracts the eigenvector of the
         smallest-magnitude eigenvalue; it is the slower cross-check path.
-    rtol : float
-        Residual bound: the result satisfies ||L vec(rho)||_inf <= rtol * ||L||_inf.
 
     Raises
     ------
     DegenerateSteadyStateError
         If the kernel of the generator is more than one-dimensional.
     SteadyStateConvergenceError
-        If no vector meets the residual bound.
+        If the result misses ||L vec(rho)||_inf <= 1e-10 * ||L||_inf.
     """
     dim = liouvillian.basis.dim
     l_mat = liouvillian.entries
@@ -89,9 +88,9 @@ def steady_state(
 
     norm_l = liouvillian.norm_inf()
     residual = float(np.abs(l_mat @ vec(rho)).max())
-    if norm_l > 0 and residual > rtol * norm_l:
+    if norm_l > 0 and residual > _RTOL * norm_l:
         raise SteadyStateConvergenceError(
-            f"steady-state residual {residual:.3e} exceeds {rtol:.1e} * ||L||_inf = {rtol * norm_l:.3e}"
+            f"steady-state residual {residual:.3e} exceeds {_RTOL:.1e} * ||L||_inf = {_RTOL * norm_l:.3e}"
         )
     return DensityMatrix(liouvillian.basis, rho)
 

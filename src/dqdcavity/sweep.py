@@ -110,12 +110,7 @@ class SweepResult:
     spectra: dict | None = None
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([_format_cell(row[c]) for c in self.columns])
-        return buf.getvalue()
+        return csv_table(self.columns, ([row[c] for c in self.columns] for row in self.rows))
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -128,6 +123,26 @@ def _format_cell(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
+
+
+def csv_table(header, rows) -> str:
+    """CSV text of a header row and data rows; floats at full double precision, None empty."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_format_cell(v) for v in row])
+    return buf.getvalue()
+
+
+def _map(fn, tasks: list, parallelism: int) -> list:
+    """[fn(t) for t in tasks], in the calling thread at parallelism 1, else on a thread pool."""
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    if parallelism == 1:
+        return [fn(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def _scalar_values(rho, wanted: tuple[str, ...]) -> dict:
@@ -193,8 +208,6 @@ def run_sweep(spec: SweepSpec, *, parallelism: int = 1) -> SweepResult:
     The timestamp lives only in metadata, never in the CSV table, so repeated
     runs of the same spec diff clean.
     """
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     v1s = spec.axis1.values()
     v2s = spec.axis2.values()
     tasks = [(i, j, float(a), float(b)) for i, a in enumerate(v1s) for j, b in enumerate(v2s)]
@@ -203,12 +216,7 @@ def run_sweep(spec: SweepSpec, *, parallelism: int = 1) -> SweepResult:
         _, _, a, b = task
         return evaluate_point(spec, a, b)
 
-    if parallelism == 1:
-        outs = [work(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            outs = list(pool.map(work, tasks))
-
+    outs = _map(work, tasks, parallelism)
     rows = tuple(row for row, _ in outs)
     spectra = None
     if "spectrum" in spec.observables:
@@ -250,8 +258,6 @@ def run_spectra_panel(
     parallelism: int = 1,
 ) -> list[SpectraPanel]:
     """One SpectraPanel per tunneling amplitude over a shared zeta scan."""
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     zeta_values = np.asarray(zeta_values, dtype=float)
 
     def point(task):
@@ -264,21 +270,20 @@ def run_spectra_panel(
         except (ValueError, RuntimeError, ArithmeticError) as exc:
             return f"error:{type(exc).__name__}: {exc}", None, None
 
+    tunnelings = [float(tun) for tun in tunneling_values]
+    tasks = [(tun, float(z)) for tun in tunnelings for z in zeta_values]
+    outs = _map(point, tasks, parallelism)
+    n = len(zeta_values)
     panels = []
-    for tun in tunneling_values:
-        tasks = [(float(tun), float(z)) for z in zeta_values]
-        if parallelism == 1:
-            outs = [point(t) for t in tasks]
-        else:
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                outs = list(pool.map(point, tasks))
+    for k, tun in enumerate(tunnelings):
+        chunk = outs[k * n : (k + 1) * n]
         panels.append(
             SpectraPanel(
-                tunneling=float(tun),
+                tunneling=tun,
                 zetas=zeta_values,
-                statuses=tuple(o[0] for o in outs),
-                spectra=tuple(o[1] for o in outs),
-                lines=tuple(o[2] for o in outs),
+                statuses=tuple(o[0] for o in chunk),
+                spectra=tuple(o[1] for o in chunk),
+                lines=tuple(o[2] for o in chunk),
             )
         )
     return panels
@@ -286,44 +291,22 @@ def run_spectra_panel(
 
 def panel_spectra_csv(panel: SpectraPanel) -> str:
     """Long-format table (zeta, omega, offset, intensity) for one panel."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["tunneling_T", "zeta", "omega_mev", "offset_mev", "intensity"])
-    for z, status, spectrum in zip(panel.zetas, panel.statuses, panel.spectra):
-        if status != "ok" or spectrum is None:
-            continue
-        for w, off, inten in zip(spectrum.frequencies, spectrum.offsets, spectrum.intensities):
-            writer.writerow(
-                [
-                    _format_cell(float(panel.tunneling)),
-                    _format_cell(float(z)),
-                    _format_cell(float(w)),
-                    _format_cell(float(off)),
-                    _format_cell(float(inten)),
-                ]
-            )
-    return buf.getvalue()
+    rows = (
+        (float(panel.tunneling), float(z), float(w), float(off), float(inten))
+        for z, status, spectrum in zip(panel.zetas, panel.statuses, panel.spectra)
+        if status == "ok" and spectrum is not None
+        for w, off, inten in zip(spectrum.frequencies, spectrum.offsets, spectrum.intensities)
+    )
+    return csv_table(["tunneling_T", "zeta", "omega_mev", "offset_mev", "intensity"], rows)
 
 
 def panel_lines_csv(panel: SpectraPanel) -> str:
     """Long-format transition-line table (zeta, line index, frequency, width)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["tunneling_T", "zeta", "line_index", "frequency_mev", "offset_mev", "hwhm_mev"]
+    rows = (
+        (float(panel.tunneling), float(z), k, line.frequency, line.offset, line.hwhm)
+        for z, status, lines in zip(panel.zetas, panel.statuses, panel.lines)
+        if status == "ok" and lines is not None
+        for k, line in enumerate(lines, start=1)
     )
-    for z, status, lines in zip(panel.zetas, panel.statuses, panel.lines):
-        if status != "ok" or lines is None:
-            continue
-        for k, line in enumerate(lines, start=1):
-            writer.writerow(
-                [
-                    _format_cell(float(panel.tunneling)),
-                    _format_cell(float(z)),
-                    str(k),
-                    _format_cell(line.frequency),
-                    _format_cell(line.offset),
-                    _format_cell(line.hwhm),
-                ]
-            )
-    return buf.getvalue()
+    header = ["tunneling_T", "zeta", "line_index", "frequency_mev", "offset_mev", "hwhm_mev"]
+    return csv_table(header, rows)

@@ -102,6 +102,26 @@ def dissipator_action(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return op @ rho @ op.conj().T - 0.5 * (odo @ rho + rho @ odo)
 
 
+def generator_by_columns(h: np.ndarray, channels) -> np.ndarray:
+    """Lindblad generator built one matrix unit at a time.
+
+    Column j*d + i holds the column-stacked -i[H, E_ij] + sum rate * D[O](E_ij),
+    where E_ij is the d x d matrix with a single 1 at (i, j) and channels is
+    an iterable of (rate, O). No Kronecker products, unlike the package.
+    """
+    d = h.shape[0]
+    out = np.empty((d * d, d * d), dtype=complex)
+    for j in range(d):
+        for i in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = 1.0
+            col = -1j * (h @ e - e @ h)
+            for rate, op in channels:
+                col += rate * dissipator_action(op, e)
+            out[:, j * d + i] = col.reshape(-1, order="F")
+    return out
+
+
 def half_fourier(taus: np.ndarray, values: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     """(1/pi) Re Int_0^T G(tau) e^{i w tau} dtau by trapezoid rule."""
     taus = np.asarray(taus, dtype=float)

@@ -14,7 +14,6 @@ from dqdcavity import (
     find_spectrum_peaks,
     g2,
     g2_zero,
-    g2_zero_unsquared,
     identity,
     pl_spectrum,
     steady_state,
@@ -180,14 +179,7 @@ def test_thermal_photons_bunch(laucht):
     assert g2_zero(dec, n_max=8) == pytest.approx(g2_want, abs=1e-6)
 
 
-def test_g2_normalization_variants(laucht, fig3):
-    basis = build_space(3)
-    rho = steady_state(build_liouvillian(laucht, basis))
-    a = annihilation(basis)
-    n = expectation(rho, a.dag() @ a).real
-    assert g2_zero_unsquared(laucht, n_max=3) == pytest.approx(
-        g2_zero(laucht, n_max=3) * n, rel=1e-10
-    )
+def test_g2_normalization_variants(fig3):
     # frozen regression: strongly pumped preset antibunches at zero delay
     assert g2_zero(fig3, n_max=3) == pytest.approx(0.847522765751644, rel=1e-9)
     assert g2_zero(fig3, n_max=3) < 1.0

@@ -1,17 +1,7 @@
 import numpy as np
 import pytest
 
-from dqdcavity import HAS_NUMBA, exp_decay_sum, lorentzian_sum, numba_enabled
-from dqdcavity.kernels import (
-    _exp_decay_sum_numpy,
-    _lorentzian_sum_numpy,
-)
-
-
-def _random_modes(rng, k):
-    amps = rng.normal(size=k) + 1j * rng.normal(size=k)
-    poles = -(10.0 ** rng.uniform(-3, 0, size=k)) + 1j * rng.normal(scale=2.0, size=k)
-    return amps, poles
+from dqdcavity import exp_decay_sum, lorentzian_sum
 
 
 def test_lorentzian_sum_single_pole_closed_form():
@@ -30,32 +20,6 @@ def test_exp_decay_sum_single_mode_closed_form():
     got = exp_decay_sum(taus, w, lam)
     want = w[0] * np.exp(lam[0] * taus)
     assert np.abs(got - want).max() < 1e-13
-
-
-def test_dispatch_paths_agree():
-    rng = np.random.default_rng(31)
-    omegas = np.linspace(-4.0, 4.0, 257)
-    taus = np.geomspace(1e-3, 50.0, 128)
-    amps, poles = _random_modes(rng, 12)
-    spectral = lorentzian_sum(omegas, amps, poles)
-    assert np.abs(spectral - _lorentzian_sum_numpy(omegas, amps, poles)).max() < 1e-12
-    decay = exp_decay_sum(taus, amps, poles)
-    assert np.abs(decay - _exp_decay_sum_numpy(taus, amps, poles)).max() < 1e-12
-
-
-def test_env_flag_disables_jit(monkeypatch):
-    monkeypatch.setenv("DQDCAVITY_DISABLE_NUMBA", "1")
-    assert not numba_enabled()
-    monkeypatch.delenv("DQDCAVITY_DISABLE_NUMBA")
-    assert numba_enabled() == HAS_NUMBA
-    # results identical either way
-    rng = np.random.default_rng(5)
-    omegas = np.linspace(-2.0, 2.0, 101)
-    amps, poles = _random_modes(rng, 6)
-    with_jit = lorentzian_sum(omegas, amps, poles)
-    monkeypatch.setenv("DQDCAVITY_DISABLE_NUMBA", "yes")
-    without = lorentzian_sum(omegas, amps, poles)
-    assert np.abs(with_jit - without).max() < 1e-12
 
 
 def test_shape_validation():

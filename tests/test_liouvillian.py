@@ -6,10 +6,9 @@ from dqdcavity import (
     annihilation,
     build_liouvillian,
     build_space,
-    commutator_super,
-    dissipator_super,
     hamiltonian,
     jump_operators,
+    phat_rates,
     qubit_lowering,
     trace_functional,
     unvec,
@@ -34,62 +33,70 @@ def test_trace_functional_reads_trace():
     assert trace_functional(5) @ vec(m) == pytest.approx(np.trace(m))
 
 
+_ALL_CHANNELS = ModelParams(
+    omega0=1.5, omega1=1.4, omega2=1.7, tunneling_T=0.3, g1=0.2, g2=0.25,
+    gamma1=0.01, gamma2=0.02, pump1=0.03, pump2=0.04, cavity_pump=0.05,
+    kappa=0.5, zeta=0.02, temperature=4.0,
+)
+
+
 def test_dissipator_matches_direct_action():
+    # switching one rate on adds rate * D[O] to the generator; compare its action
+    # on a random density matrix with O rho O+ - {O+O, rho}/2 evaluated directly
     rng = np.random.default_rng(11)
     basis = build_space(2)
-    ops = [
-        annihilation(basis),
-        qubit_lowering(basis, 1).dag(),
-        qubit_lowering(basis, 1).dag() @ qubit_lowering(basis, 2),
-    ]
+    p = _ALL_CHANNELS.replace(kappa=0.0, pump1=0.0, zeta=0.0)
+    base = build_liouvillian(p, basis).entries
     rho = oracles.random_density_matrix(rng, basis.dim)
-    for op in ops:
-        got = unvec(dissipator_super(op).entries @ vec(rho), basis.dim)
-        want = oracles.dissipator_action(op.entries, rho)
+    s1d_s2 = qubit_lowering(basis, 1).dag() @ qubit_lowering(basis, 2)
+    on = _ALL_CHANNELS.replace(kappa=0.0, pump1=0.0)
+    rates = phat_rates(on)
+    cases = [
+        (p.replace(kappa=0.5), [(0.5, annihilation(basis))]),
+        (p.replace(pump1=0.03), [(0.03, qubit_lowering(basis, 1).dag())]),
+        (on, [(rates.gamma_T, s1d_s2), (rates.p_T, s1d_s2.dag())]),
+    ]
+    for params, channels in cases:
+        delta = build_liouvillian(params, basis).entries - base
+        got = unvec(delta @ vec(rho), basis.dim)
+        want = sum(rate * oracles.dissipator_action(op.entries, rho) for rate, op in channels)
         assert np.abs(got - want).max() < 1e-13
 
 
 def test_commutator_matches_direct_action():
+    # coherent only: every rate zero, so the generator is -i[H, .]
     basis = build_space(1)
     p = ModelParams(
         omega0=1.0, omega1=1.1, omega2=0.9, tunneling_T=0.2, g1=0.1, g2=0.3,
         gamma1=0.0, gamma2=0.0, pump1=0.0, pump2=0.0, cavity_pump=0.0,
         kappa=0.0, zeta=0.0, temperature=4.0,
     )
-    h = hamiltonian(p, basis)
-    rho = oracles.random_density_matrix(np.random.default_rng(4), basis.dim)
-    got = unvec(commutator_super(h).entries @ vec(rho), basis.dim)
-    want = -1j * (h.entries @ rho - rho @ h.entries)
-    assert np.abs(got - want).max() < 1e-13
+    assert jump_operators(p, basis) == []
+    want = oracles.generator_by_columns(hamiltonian(p, basis).entries, [])
+    assert np.abs(build_liouvillian(p, basis).entries - want).max() < 1e-13
 
 
 def test_liouvillian_is_sum_of_parts():
-    p = ModelParams(
-        omega0=1.5, omega1=1.4, omega2=1.7, tunneling_T=0.3, g1=0.2, g2=0.25,
-        gamma1=0.01, gamma2=0.02, pump1=0.03, pump2=0.04, cavity_pump=0.05,
-        kappa=0.5, zeta=0.02, temperature=4.0,
-    )
+    # every channel on, the phonon-assisted pair included
+    p = _ALL_CHANNELS
     basis = build_space(2)
-    total = commutator_super(hamiltonian(p, basis)).entries.copy()
-    for rate, op in jump_operators(p, basis):
-        total += rate * dissipator_super(op).entries
-    assert np.abs(build_liouvillian(p, basis).entries - total).max() < 1e-13
+    channels = [(rate, op.entries) for rate, op in jump_operators(p, basis)]
+    assert len(channels) == 8
+    want = oracles.generator_by_columns(hamiltonian(p, basis).entries, channels)
+    assert np.abs(build_liouvillian(p, basis).entries - want).max() < 1e-13
 
 
 def test_liouvillian_linear_in_each_rate():
     # doubling one channel rate adds exactly rate * D(channel)
-    p = ModelParams(
-        omega0=1.5, omega1=1.4, omega2=1.7, tunneling_T=0.3, g1=0.2, g2=0.25,
-        gamma1=0.01, gamma2=0.02, pump1=0.03, pump2=0.04, cavity_pump=0.05,
-        kappa=0.5, zeta=0.02, temperature=4.0,
-    )
+    p = _ALL_CHANNELS
     basis = build_space(2)
+    zero = np.zeros((basis.dim, basis.dim))
     base = build_liouvillian(p, basis).entries
     bumped = build_liouvillian(p.replace(kappa=2 * p.kappa), basis).entries
-    dk = p.kappa * dissipator_super(annihilation(basis)).entries
+    dk = oracles.generator_by_columns(zero, [(p.kappa, annihilation(basis).entries)])
     assert np.abs((bumped - base) - dk).max() < 1e-12
     bumped = build_liouvillian(p.replace(pump1=2 * p.pump1), basis).entries
-    dp = p.pump1 * dissipator_super(qubit_lowering(basis, 1).dag()).entries
+    dp = oracles.generator_by_columns(zero, [(p.pump1, qubit_lowering(basis, 1).dag().entries)])
     assert np.abs((bumped - base) - dp).max() < 1e-12
 
 
