@@ -264,15 +264,28 @@ def _envelope(kind: str, cfg: RunConfig, data, extra_metadata: dict | None = Non
     }
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _write(path: str, text: str) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _write_sidecar(cfg: RunConfig, path: str, extra_metadata: dict | None = None) -> None:
+    """Run metadata for the CSV at path, written to path + '.meta.json'."""
+    sidecar = _envelope(cfg.subcommand, cfg, {"file": os.path.basename(path)}, extra_metadata)
+    _write(path + ".meta.json", json.dumps(sidecar, indent=2, sort_keys=True))
+
+
+def _emit(cfg: RunConfig, text: str, extra_metadata: dict | None = None) -> None:
+    """Print text, or write it to --out; a CSV there gets a .meta.json sidecar."""
     out = cfg.options.get("out")
     if out is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out, text)
+        if cfg.options["format"] == "csv":
+            _write_sidecar(cfg, out, extra_metadata)
 
 
 def _cmd_steady(cfg: RunConfig) -> int:
@@ -403,35 +416,21 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise CliConfigError(str(exc)) from exc
     result = run_sweep(spec, parallelism=cfg.options["parallelism"])
+    extra = {"sweep": result.metadata}
     if cfg.options["format"] == "json":
         data = {
             "columns": list(result.columns),
             "rows": [[row[c] for c in result.columns] for row in result.rows],
         }
-        text = json.dumps(
-            _envelope("sweep", cfg, data, extra_metadata={"sweep": result.metadata}),
-            indent=2,
-            sort_keys=True,
-        )
-        _emit(cfg, text)
+        text = json.dumps(_envelope("sweep", cfg, data, extra), indent=2, sort_keys=True)
     else:
-        _emit(cfg, result.to_csv())
-        out = cfg.options.get("out")
-        if out is not None:
-            sidecar = _envelope("sweep", cfg, {"file": os.path.basename(out)},
-                                extra_metadata={"sweep": result.metadata})
-            with open(out + ".meta.json", "w", encoding="utf-8") as fh:
-                json.dump(sidecar, fh, indent=2, sort_keys=True)
+        text = result.to_csv()
+    _emit(cfg, text, extra)
     return 0
 
 
 def _figure_tag(value: float) -> str:
     return format(value, "g").replace(".", "p")
-
-
-def _write(path: str, text: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _cmd_figures(cfg: RunConfig) -> int:
@@ -449,10 +448,7 @@ def _cmd_figures(cfg: RunConfig) -> int:
     def emit_sweep(name: str, result) -> None:
         path = os.path.join(outdir, name)
         result.write_csv(path)
-        sidecar = _envelope("figures", cfg, {"file": name},
-                            extra_metadata={"sweep": result.metadata})
-        with open(path + ".meta.json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
+        _write_sidecar(cfg, path, {"sweep": result.metadata})
         written.append(name)
         written.append(name + ".meta.json")
 
@@ -528,10 +524,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[cfg.subcommand](cfg)
-    except CliConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except _NUMERICAL_ERRORS as exc:

@@ -1,8 +1,12 @@
 """Vectorized Liouvillian superoperator in the column-stacking convention.
 
 A density matrix rho maps to a vector with rho[i, j] at index j*d + i
-(numpy order='F'). Under that stacking, vec(A X B) = kron(B^T, A) vec(X),
-so left multiplication is kron(I, A) and right multiplication kron(B^T, I).
+(numpy order='F'). Under that stacking, vec(A X B) = kron(B^T, A) vec(X), so
+with the effective non-Hermitian Hamiltonian K = -iH - sum_k r_k O_k^dag O_k / 2
+the Lindblad generator K rho + rho K^dag + sum_k r_k O_k rho O_k^dag is
+kron(I, K) + kron(conj(K), I) + sum_k kron(r_k conj(O_k), O_k). K keeps
+N = photons + excitons and each O_k shifts N equally on both sides of rho, so
+the generator is block-diagonal in k = N_ket - N_bra.
 """
 
 from __future__ import annotations
@@ -57,24 +61,22 @@ class SuperoperatorMatrix:
 
 
 def build_liouvillian(params: ModelParams, basis: CompositeBasis) -> SuperoperatorMatrix:
-    """Full generator -i[H, .] + sum_k rate_k D[O_k] over all active jump channels.
+    """Generator kron(I, K) + kron(conj(K), I) + sum_k kron(r_k conj(O_k), O_k).
 
-    D[O] rho = O rho O^dag - {O^dag O, rho}/2 is the Lindblad dissipator.
+    This is -i[H, .] + sum_k r_k D[O_k] with K = -iH - sum_k r_k O_k^dag O_k / 2,
+    where D[O] rho = O rho O^dag - {O^dag O, rho}/2 is the Lindblad dissipator.
     """
-    h = hamiltonian(params, basis)
-    eye = np.eye(basis.dim)
-    # accumulate in place; each kron of dim^2 x dim^2 is the dominant allocation
-    total = np.kron(eye, h.entries)
-    total -= np.kron(h.entries.T, eye)
-    total *= -1j
+    k = -1j * hamiltonian(params, basis).entries
+    channels = []
     for rate, op in jump_operators(params, basis):
         if op.basis != basis:
             raise BasisMismatchError("jump operator basis does not match")
         o = op.entries
-        odo = o.conj().T @ o
-        sup = np.kron(o.conj(), o)
-        sup -= 0.5 * np.kron(eye, odo)
-        sup -= 0.5 * np.kron(odo.T, eye)
-        sup *= rate
-        total += sup
+        k -= 0.5 * rate * (o.conj().T @ o)
+        channels.append((rate * o.conj(), o))
+    eye = np.eye(basis.dim)
+    total = np.kron(eye, k)
+    total += np.kron(k.conj(), eye)
+    for left, o in channels:
+        total += np.kron(left, o)
     return SuperoperatorMatrix(basis, total)

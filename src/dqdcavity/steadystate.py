@@ -96,10 +96,11 @@ def steady_state(
 
 
 def _solve_trace_row(l_mat: np.ndarray, dim: int) -> np.ndarray:
-    m = l_mat.copy()
+    # Fortran order lets zgetrf factor this one copy in place
+    m = np.array(l_mat, order="F")
     m[0, :] = trace_functional(dim)
     anorm = float(np.abs(m).sum(axis=0).max())
-    lu, piv, info = lapack.zgetrf(m)
+    lu, piv, info = lapack.zgetrf(m, overwrite_a=True)
     if info != 0:
         raise DegenerateSteadyStateError(
             "trace-row system is singular: the stationary state is not unique"

@@ -1,13 +1,16 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+import dqdcavity
 from dqdcavity import load_output_schema, preset
 from dqdcavity.cli import main
 
@@ -115,6 +118,20 @@ def test_sweep_csv_with_sidecar(tmp_path, capsys):
     sidecar = json.loads((tmp_path / "grid.csv.meta.json").read_text())
     _validate(sidecar)
     assert sidecar["metadata"]["sweep"]["n_max"] == 1
+
+
+def test_spectrum_csv_with_sidecar(tmp_path, capsys):
+    out_file = tmp_path / "spectrum.csv"
+    code, _, _ = _run(capsys, [
+        "spectrum", "--n-max", "1", "--omega-points", "11", "--out", str(out_file),
+    ])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out_file.read_text())))
+    assert len(rows) == 11
+    sidecar = json.loads((tmp_path / "spectrum.csv.meta.json").read_text())
+    _validate(sidecar)
+    assert sidecar["kind"] == "spectrum"
+    assert sidecar["data"] == {"file": "spectrum.csv"}
 
 
 def test_sweep_rejects_spectrum_observable(capsys):
@@ -238,10 +255,14 @@ def test_figures_requires_out(capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(dqdcavity.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dqdcavity.cli", "steady",
          "--preset", "laucht-strong", "--n-max", "1"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)

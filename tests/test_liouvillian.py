@@ -9,6 +9,7 @@ from dqdcavity import (
     hamiltonian,
     jump_operators,
     phat_rates,
+    preset,
     qubit_lowering,
     trace_functional,
     unvec,
@@ -76,14 +77,36 @@ def test_commutator_matches_direct_action():
     assert np.abs(build_liouvillian(p, basis).entries - want).max() < 1e-13
 
 
-def test_liouvillian_is_sum_of_parts():
-    # every channel on, the phonon-assisted pair included
-    p = _ALL_CHANNELS
-    basis = build_space(2)
+@pytest.mark.parametrize(
+    "p, n_max, n_channels",
+    [
+        (_ALL_CHANNELS, 2, 8),
+        # paper-scale energies near 1218 meV beside rates of 1e-4 .. 12 meV
+        (preset("laucht-strong"), 3, 8),
+        (preset("fig3-right"), 3, 7),  # no cavity feeding
+    ],
+    ids=["all-channels", "laucht-strong", "fig3-right"],
+)
+def test_liouvillian_is_sum_of_parts(p, n_max, n_channels):
+    # every active channel, the phonon-assisted pair included
+    basis = build_space(n_max)
     channels = [(rate, op.entries) for rate, op in jump_operators(p, basis)]
-    assert len(channels) == 8
+    assert len(channels) == n_channels
     want = oracles.generator_by_columns(hamiltonian(p, basis).entries, channels)
     assert np.abs(build_liouvillian(p, basis).entries - want).max() < 1e-13
+
+
+def test_generator_is_block_diagonal_in_excitation_difference():
+    # N = photons + excitons; every channel keeps k = N_ket - N_bra, so no
+    # generator entry may couple vec indices in different k sectors
+    a, s1, s2 = oracles.index_built_operators(3)
+    n = np.rint(np.diag(a.conj().T @ a + s1.conj().T @ s1 + s2.conj().T @ s2).real)
+    # vec index j*d + i holds rho[i, j]: ket i, bra j
+    k = (n[:, None] - n[None, :]).reshape(-1, order="F")
+    entries = build_liouvillian(_ALL_CHANNELS, build_space(3)).entries
+    cross = k[:, None] != k[None, :]
+    assert cross.any() and np.abs(entries[~cross]).max() > 0.0
+    assert np.all(entries[cross] == 0.0)
 
 
 def test_liouvillian_linear_in_each_rate():
