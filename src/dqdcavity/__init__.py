@@ -37,7 +37,6 @@ from .hilbert import (
     CompositeBasis,
     OperatorMatrix,
     annihilation,
-    build_space,
     identity,
     qubit_lowering,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "UndefinedObservableError",
     "annihilation",
     "build_liouvillian",
-    "build_space",
     "default_omega_grid",
     "default_tau_grid",
     "evaluate_point",

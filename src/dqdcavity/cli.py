@@ -447,7 +447,7 @@ def _cmd_figures(cfg: RunConfig) -> int:
 
     def emit_sweep(name: str, result) -> None:
         path = os.path.join(outdir, name)
-        result.write_csv(path)
+        _write(path, result.to_csv())
         _write_sidecar(cfg, path, {"sweep": result.metadata})
         written.append(name)
         written.append(name + ".meta.json")

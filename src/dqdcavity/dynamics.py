@@ -181,8 +181,6 @@ def two_time_correlation(
     op_right: OperatorMatrix,
     op_obs: OperatorMatrix,
     taus,
-    *,
-    method: str = "eigen",
 ) -> CorrelationResult:
     """G(tau) = Tr[op_obs unvec(e^{L tau} vec(op_right rho_ss op_left))], tau >= 0.
 
@@ -190,9 +188,9 @@ def two_time_correlation(
     the time-tau observable and op_right on its right, so
     G(0) = <op_left op_obs op_right> in the steady state.
 
-    method="eigen" (default) expands the seed over generator eigenvectors; if
-    the eigenbasis is unusable it falls back to stepwise matrix exponentials
-    and flags that on the result. method="expm" forces the fallback path.
+    The seed is expanded over generator eigenvectors; if the eigenbasis is
+    unusable the result falls back to stepwise matrix exponentials and
+    flags that on the result.
     """
     basis = liouvillian.basis
     for op in (op_left, op_right, op_obs):
@@ -207,17 +205,12 @@ def two_time_correlation(
     seed = vec(op_right.entries @ rho_ss.entries @ op_left.entries)
     obs_row = _readout_row(op_obs.entries)
 
-    if method == "eigen":
-        try:
-            weights, lams = _mode_weights(liouvillian.entries, seed, obs_row)
-        except DiagonalizationError:
-            values = _propagate_expm(liouvillian.entries, seed, obs_row, taus)
-            return CorrelationResult(taus, values, used_expm_fallback=True)
-        return CorrelationResult(taus, exp_decay_sum(taus, weights, lams))
-    if method == "expm":
+    try:
+        weights, lams = _mode_weights(liouvillian.entries, seed, obs_row)
+    except DiagonalizationError:
         values = _propagate_expm(liouvillian.entries, seed, obs_row, taus)
         return CorrelationResult(taus, values, used_expm_fallback=True)
-    raise ValueError(f"unknown method {method!r}; use 'eigen' or 'expm'")
+    return CorrelationResult(taus, exp_decay_sum(taus, weights, lams))
 
 
 def default_omega_grid(params: ModelParams, half_span: float = 3.0, points: int = 2001) -> np.ndarray:

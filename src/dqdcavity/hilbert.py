@@ -62,8 +62,8 @@ class CompositeBasis:
 class OperatorMatrix:
     """Dense operator on a CompositeBasis.
 
-    The entries array is frozen (read-only) after construction; arithmetic
-    returns new instances and enforces matching bases.
+    The entries array is frozen (read-only) after construction; dag and the
+    matrix product return new instances, and the product enforces matching bases.
     """
 
     basis: CompositeBasis
@@ -79,31 +79,15 @@ class OperatorMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
-    def _check(self, other: "OperatorMatrix"):
-        if self.basis != other.basis:
-            raise BasisMismatchError(
-                f"operators live on different bases (n_max {self.basis.n_max} vs {other.basis.n_max})"
-            )
-
     def dag(self) -> "OperatorMatrix":
         return OperatorMatrix(self.basis, self.entries.conj().T)
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check(other)
+        if self.basis != other.basis:
+            raise BasisMismatchError(
+                f"operators live on different bases (n_max {self.basis.n_max} vs {other.basis.n_max})"
+            )
         return OperatorMatrix(self.basis, self.entries @ other.entries)
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check(other)
-        return OperatorMatrix(self.basis, self.entries + other.entries)
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check(other)
-        return OperatorMatrix(self.basis, self.entries - other.entries)
-
-    def __mul__(self, scalar) -> "OperatorMatrix":
-        return OperatorMatrix(self.basis, self.entries * complex(scalar))
-
-    __rmul__ = __mul__
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         """Max deviation from Hermiticity below tol relative to the largest entry."""
@@ -115,11 +99,6 @@ class OperatorMatrix:
     def assert_hermitian(self, tol: float = 1e-12):
         if not self.is_hermitian(tol):
             raise ValueError("operator is not Hermitian within tolerance")
-
-
-def build_space(n_max: int) -> CompositeBasis:
-    """Composite basis with photon cutoff n_max and the canonical index order."""
-    return CompositeBasis(n_max)
 
 
 def annihilation(basis: CompositeBasis) -> OperatorMatrix:

@@ -37,7 +37,11 @@ def trace_functional(dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SuperoperatorMatrix:
-    """Dense d^2 x d^2 superoperator acting on column-stacked density matrices."""
+    """Dense d^2 x d^2 superoperator acting on column-stacked density matrices.
+
+    The entries array is taken over, not copied, and frozen (read-only) in
+    place, so the caller hands over a fresh array and keeps no reference to it.
+    """
 
     basis: CompositeBasis
     entries: np.ndarray
@@ -47,7 +51,6 @@ class SuperoperatorMatrix:
         arr = np.asarray(self.entries, dtype=complex)
         if arr.shape != (d2, d2):
             raise ValueError(f"entries shape {arr.shape} does not match dim^2 = {d2}")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 

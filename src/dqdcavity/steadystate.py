@@ -47,21 +47,11 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
 
-def steady_state(
-    liouvillian: SuperoperatorMatrix,
-    *,
-    method: str = "lu",
-) -> DensityMatrix:
+def steady_state(liouvillian: SuperoperatorMatrix) -> DensityMatrix:
     """Unique stationary density matrix of the generator.
 
-    Parameters
-    ----------
-    liouvillian : SuperoperatorMatrix
-        Generator in the column-stacking convention.
-    method : {"lu", "eigen"}
-        "lu" replaces the first (redundant) row with the trace functional and
-        solves the dense linear system. "eigen" extracts the eigenvector of the
-        smallest-magnitude eigenvalue; it is the slower cross-check path.
+    The first (redundant) row of L is replaced with the trace functional and
+    the dense linear system L' vec(rho) = e_0 is solved by LU.
 
     Raises
     ------
@@ -72,14 +62,7 @@ def steady_state(
     """
     dim = liouvillian.basis.dim
     l_mat = liouvillian.entries
-    if method == "lu":
-        x = _solve_trace_row(l_mat, dim)
-    elif method == "eigen":
-        x = _solve_eigen(l_mat)
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'lu' or 'eigen'")
-
-    rho = unvec(x, dim)
+    rho = unvec(_solve_trace_row(l_mat, dim), dim)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
     if abs(tr) < 1e-300:
@@ -117,21 +100,6 @@ def _solve_trace_row(l_mat: np.ndarray, dim: int) -> np.ndarray:
     if info != 0:
         raise SteadyStateConvergenceError("LU back substitution failed")
     return x
-
-
-def _solve_eigen(l_mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eig(l_mat)
-    order = np.argsort(np.abs(w))
-    scale = float(np.abs(l_mat).sum(axis=1).max())
-    if np.abs(w[order[0]]) > 1e-8 * scale:
-        raise SteadyStateConvergenceError(
-            f"no eigenvalue within tolerance of zero (closest |lambda| = {np.abs(w[order[0]]):.3e})"
-        )
-    if len(order) > 1 and np.abs(w[order[1]]) < 1e-8 * scale:
-        raise DegenerateSteadyStateError(
-            "second eigenvalue within tolerance of zero: stationary state is not unique"
-        )
-    return v[:, order[0]]
 
 
 def expectation(rho: DensityMatrix, op: OperatorMatrix) -> complex:

@@ -26,7 +26,7 @@ from .model import ModelParams
 from .steadystate import expectation, steady_state
 
 SCALAR_OBSERVABLES = ("n_cavity", "n_qd1", "n_qd2", "g2_zero")
-ALLOWED_OBSERVABLES = SCALAR_OBSERVABLES + ("transition_lines", "spectrum")
+ALLOWED_OBSERVABLES = SCALAR_OBSERVABLES + ("transition_lines",)
 
 _PARAM_NAMES = tuple(f.name for f in dataclasses.fields(ModelParams))
 
@@ -63,7 +63,6 @@ class SweepSpec:
     axis2: SweepAxis
     observables: tuple[str, ...] = ("n_cavity", "n_qd1", "n_qd2")
     n_max: int = 3
-    omega_grid: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "observables", tuple(self.observables))
@@ -78,10 +77,6 @@ class SweepSpec:
             raise ValueError(f"both axes sweep {self.axis1.name!r}; axes must differ")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if self.omega_grid is not None:
-            grid = np.asarray(self.omega_grid, dtype=float).copy()
-            grid.setflags(write=False)
-            object.__setattr__(self, "omega_grid", grid)
 
     def columns(self) -> tuple[str, ...]:
         cols = [self.axis1.name, self.axis2.name]
@@ -99,22 +94,16 @@ class SweepResult:
 
     rows hold one dict per grid point (axis1-major order) with every column
     present; errored points carry None values, a status code, and the error
-    text. Spectra, when requested, are kept out of the flat table and keyed by
-    (i, j) grid indices.
+    text.
     """
 
     spec: SweepSpec
     columns: tuple[str, ...]
     rows: tuple[dict, ...]
     metadata: dict
-    spectra: dict | None = None
 
     def to_csv(self) -> str:
         return csv_table(self.columns, ([row[c] for c in self.columns] for row in self.rows))
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
 
 
 def _format_cell(value) -> str:
@@ -162,12 +151,11 @@ def _scalar_values(rho, wanted: tuple[str, ...]) -> dict:
     return out
 
 
-def evaluate_point(spec: SweepSpec, value1: float, value2: float):
-    """One grid point: (row dict, SpectrumResult or None). Errors become data."""
+def evaluate_point(spec: SweepSpec, value1: float, value2: float) -> dict:
+    """One grid point as a row dict over spec.columns(). Errors become data."""
     row = {c: None for c in spec.columns()}
     row[spec.axis1.name] = float(value1)
     row[spec.axis2.name] = float(value2)
-    spectrum = None
     try:
         point = spec.params.replace(
             **{spec.axis1.name: float(value1), spec.axis2.name: float(value2)}
@@ -180,14 +168,12 @@ def evaluate_point(spec: SweepSpec, value1: float, value2: float):
             for k, line in enumerate(transition_lines(point), start=1):
                 row[f"line{k}_frequency_mev"] = line.frequency
                 row[f"line{k}_hwhm_mev"] = line.hwhm
-        if "spectrum" in spec.observables:
-            spectrum = pl_spectrum(point, spec.omega_grid, n_max=spec.n_max)
         row["status"] = "ok"
         row["error"] = ""
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         row["status"] = f"error:{type(exc).__name__}"
         row["error"] = str(exc)
-    return row, spectrum
+    return row
 
 
 def _run_metadata(spec: SweepSpec) -> dict:
@@ -208,27 +194,14 @@ def run_sweep(spec: SweepSpec, *, parallelism: int = 1) -> SweepResult:
     The timestamp lives only in metadata, never in the CSV table, so repeated
     runs of the same spec diff clean.
     """
-    v1s = spec.axis1.values()
     v2s = spec.axis2.values()
-    tasks = [(i, j, float(a), float(b)) for i, a in enumerate(v1s) for j, b in enumerate(v2s)]
-
-    def work(task):
-        _, _, a, b = task
-        return evaluate_point(spec, a, b)
-
-    outs = _map(work, tasks, parallelism)
-    rows = tuple(row for row, _ in outs)
-    spectra = None
-    if "spectrum" in spec.observables:
-        spectra = {
-            (i, j): spectrum for (i, j, _, _), (_, spectrum) in zip(tasks, outs)
-        }
+    tasks = [(float(a), float(b)) for a in spec.axis1.values() for b in v2s]
+    rows = _map(lambda task: evaluate_point(spec, *task), tasks, parallelism)
     return SweepResult(
         spec=spec,
         columns=spec.columns(),
-        rows=rows,
+        rows=tuple(rows),
         metadata=_run_metadata(spec),
-        spectra=spectra,
     )
 
 

@@ -20,4 +20,4 @@ def fig3():
 
 @pytest.fixture(scope="session")
 def basis2():
-    return dq.build_space(2)
+    return dq.CompositeBasis(2)

@@ -2,11 +2,12 @@
 
 Everything here is deliberately written without calling into dqdcavity,
 so a bug in the package cannot hide behind itself: closed-form algebra,
-explicit Kronecker constructions, and a brute-force half-Fourier
-transform.
+explicit Kronecker constructions, the generator's null vector by SVD,
+stepwise matrix exponentials, and a brute-force half-Fourier transform.
 """
 
 import numpy as np
+import scipy.linalg
 
 
 def two_level_steady_population(pump: float, decay: float) -> float:
@@ -119,6 +120,42 @@ def generator_by_columns(h: np.ndarray, channels) -> np.ndarray:
             for rate, op in channels:
                 col += rate * dissipator_action(op, e)
             out[:, j * d + i] = col.reshape(-1, order="F")
+    return out
+
+
+def null_vector_state(generator: np.ndarray) -> np.ndarray:
+    """Unit-trace density matrix spanning the kernel of a column-stacked generator.
+
+    Takes the right singular vector of the smallest singular value, so no
+    row is replaced and no linear system is factored, unlike the package.
+    """
+    d = int(round(np.sqrt(generator.shape[0])))
+    _, _, vh = np.linalg.svd(generator)
+    rho = vh[-1].conj().reshape((d, d), order="F")
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def expm_correlation(generator, rho, op_left, op_right, op_obs, taus) -> np.ndarray:
+    """Tr[op_obs e^{L tau}(op_right rho op_left)] by stepwise scipy.linalg.expm.
+
+    Delays are visited in increasing order and the state is carried from one
+    to the next with expm(L * step); no eigendecomposition is involved.
+    """
+    d = rho.shape[0]
+    taus = np.asarray(taus, dtype=float)
+    x = (op_right @ rho @ op_left).reshape(-1, order="F")
+    out = np.empty(taus.shape, dtype=complex)
+    reached = 0.0
+    steps = {}
+    for i in np.argsort(taus, kind="stable"):
+        dt = float(taus[i]) - reached
+        if dt > 0.0:
+            if dt not in steps:
+                steps[dt] = scipy.linalg.expm(generator * dt)
+            x = steps[dt] @ x
+            reached = float(taus[i])
+        out[i] = np.trace(op_obs @ x.reshape((d, d), order="F"))
     return out
 
 

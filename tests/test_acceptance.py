@@ -12,8 +12,8 @@ import pytest
 
 import dqdcavity as dq
 from dqdcavity import (
+    CompositeBasis,
     build_liouvillian,
-    build_space,
     default_omega_grid,
     exceptional_point_scan,
     find_spectrum_peaks,
@@ -113,7 +113,7 @@ def test_criterion_03_empty_cavity_moments(capfd, laucht):
 
 
 def test_criterion_04_steady_state_quality_on_grid(capfd, laucht):
-    basis = build_space(3)
+    basis = CompositeBasis(3)
     worst_res, worst_tr, worst_eig = 0.0, 0.0, 0.0
     for t in np.geomspace(GRID_LO, GRID_HI, 10):
         for z in np.geomspace(GRID_LO, GRID_HI, 10):
@@ -132,7 +132,7 @@ def test_criterion_04_steady_state_quality_on_grid(capfd, laucht):
 
 def test_criterion_05_manifold_consistency(capfd):
     rng = np.random.default_rng(55)
-    basis = build_space(1)
+    basis = CompositeBasis(1)
     worst_pair = 0.0
     worst_block = 0.0
     for _ in range(100):

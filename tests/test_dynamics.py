@@ -3,13 +3,15 @@ import pytest
 
 from dqdcavity import (
     BasisMismatchError,
+    CompositeBasis,
+    DiagonalizationError,
     SpectrumResult,
     UndefinedObservableError,
     annihilation,
     build_liouvillian,
-    build_space,
     default_omega_grid,
     default_tau_grid,
+    dynamics,
     expectation,
     find_spectrum_peaks,
     g2,
@@ -21,6 +23,7 @@ from dqdcavity import (
 )
 
 import oracles
+from test_steadystate import _oracle_generator
 
 
 def _decoupled_cavity(laucht):
@@ -28,7 +31,7 @@ def _decoupled_cavity(laucht):
 
 
 def test_correlation_starts_at_equal_time_moment(laucht):
-    basis = build_space(2)
+    basis = CompositeBasis(2)
     lop = build_liouvillian(laucht, basis)
     rho = steady_state(lop)
     a = annihilation(basis)
@@ -38,23 +41,47 @@ def test_correlation_starts_at_equal_time_moment(laucht):
     assert not corr.used_expm_fallback
 
 
+def _oracle_first_order(p, basis, taus):
+    """<a^dag(0) a(tau)> from the oracle generator, null vector and expm."""
+    gen = _oracle_generator(p, basis)
+    a = annihilation(basis).entries
+    rho = oracles.null_vector_state(gen)
+    return oracles.expm_correlation(gen, rho, a.conj().T, np.eye(basis.dim), a, taus)
+
+
 def test_eigen_and_expm_propagation_agree(laucht):
-    basis = build_space(1)
+    basis = CompositeBasis(1)
     lop = build_liouvillian(laucht, basis)
     rho = steady_state(lop)
     a = annihilation(basis)
     taus = np.linspace(0.0, 40.0, 9)
-    ev = two_time_correlation(lop, rho, a.dag(), identity(basis), a, taus, method="eigen")
-    ex = two_time_correlation(lop, rho, a.dag(), identity(basis), a, taus, method="expm")
-    assert ex.used_expm_fallback
+    ev = two_time_correlation(lop, rho, a.dag(), identity(basis), a, taus)
+    assert not ev.used_expm_fallback
+    ex = _oracle_first_order(laucht, basis, taus)
     scale = np.abs(ev.values[0])
-    assert np.abs(ev.values - ex.values).max() < 1e-8 * scale
+    assert np.abs(ev.values - ex).max() < 1e-8 * scale
+
+
+def test_expm_fallback_runs_when_eigenbasis_fails(laucht, monkeypatch):
+    def broken(*args):
+        raise DiagonalizationError("eigenbasis rejected on purpose")
+
+    monkeypatch.setattr(dynamics, "_mode_weights", broken)
+    basis = CompositeBasis(1)
+    lop = build_liouvillian(laucht, basis)
+    rho = steady_state(lop)
+    a = annihilation(basis)
+    taus = np.linspace(0.0, 40.0, 9)
+    corr = two_time_correlation(lop, rho, a.dag(), identity(basis), a, taus)
+    assert corr.used_expm_fallback
+    want = _oracle_first_order(laucht, basis, taus)
+    assert np.abs(corr.values - want).max() < 1e-8 * np.abs(want[0])
 
 
 def test_empty_cavity_coherence_decay_closed_form(laucht):
     # gain/loss-only mode: G(tau) = n exp[(-i w0 - (kappa-P)/2) tau]
     dec = _decoupled_cavity(laucht)
-    basis = build_space(4)
+    basis = CompositeBasis(4)
     lop = build_liouvillian(dec, basis)
     rho = steady_state(lop)
     a = annihilation(basis)
@@ -73,18 +100,15 @@ def test_empty_cavity_coherence_decay_closed_form(laucht):
 
 
 def test_correlation_input_validation(laucht):
-    basis = build_space(1)
+    basis = CompositeBasis(1)
     lop = build_liouvillian(laucht, basis)
     rho = steady_state(lop)
     a = annihilation(basis)
     with pytest.raises(ValueError):
         two_time_correlation(lop, rho, a.dag(), identity(basis), a, np.array([-1.0, 0.0]))
     with pytest.raises(BasisMismatchError):
-        two_time_correlation(lop, rho, a.dag(), identity(basis), annihilation(build_space(2)),
+        two_time_correlation(lop, rho, a.dag(), identity(basis), annihilation(CompositeBasis(2)),
                              np.array([0.0]))
-    with pytest.raises(ValueError, match="unknown method"):
-        two_time_correlation(lop, rho, a.dag(), identity(basis), a, np.array([0.0]),
-                             method="magic")
 
 
 def test_spectrum_of_empty_cavity_is_single_line(laucht):
@@ -105,7 +129,7 @@ def test_spectrum_sum_rule(laucht):
     # integrated intensity equals the photon escape flux kappa <a^dag a>;
     # the finite window leaves a Lorentzian-tail deficit that shrinks as
     # the grid widens
-    basis = build_space(3)
+    basis = CompositeBasis(3)
     rho = steady_state(build_liouvillian(laucht, basis))
     a = annihilation(basis)
     flux = laucht.kappa * expectation(rho, a.dag() @ a).real
@@ -120,16 +144,12 @@ def test_spectrum_sum_rule(laucht):
 
 
 def test_spectrum_matches_half_fourier_of_correlation(laucht):
-    basis = build_space(2)
-    lop = build_liouvillian(laucht, basis)
-    rho = steady_state(lop)
-    a = annihilation(basis)
     taus = np.arange(0.0, 600.0 + 1e-9, 0.05)
-    corr = two_time_correlation(lop, rho, a.dag(), identity(basis), a, taus, method="expm")
+    corr = _oracle_first_order(laucht, CompositeBasis(2), taus)
     grid = default_omega_grid(laucht, points=401)
     spec = pl_spectrum(laucht, grid, n_max=2)
     # demodulate so the trapezoid only sees the slow envelope
-    envelope = corr.values * np.exp(1j * laucht.omega0 * taus)
+    envelope = corr * np.exp(1j * laucht.omega0 * taus)
     brute = laucht.kappa * oracles.half_fourier(taus, envelope, grid - laucht.omega0)
     assert np.abs(brute - spec.intensities).max() < 1e-4 * spec.intensities.max()
 
@@ -140,7 +160,7 @@ def test_spectrum_metadata_and_component_filter(laucht):
     assert spec.kappa == laucht.kappa
     assert spec.omega0 == laucht.omega0
     assert np.allclose(spec.offsets, spec.frequencies - laucht.omega0)
-    dim = build_space(2).dim
+    dim = CompositeBasis(2).dim
     assert 0 < len(spec.components) < dim * dim  # negligible modes dropped
     for amp, pole in spec.components:
         assert pole.real <= 1e-12  # stable modes only

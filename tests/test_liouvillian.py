@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from dqdcavity import (
+    CompositeBasis,
     ModelParams,
+    SuperoperatorMatrix,
     annihilation,
     build_liouvillian,
-    build_space,
     hamiltonian,
     jump_operators,
     phat_rates,
@@ -45,7 +46,7 @@ def test_dissipator_matches_direct_action():
     # switching one rate on adds rate * D[O] to the generator; compare its action
     # on a random density matrix with O rho O+ - {O+O, rho}/2 evaluated directly
     rng = np.random.default_rng(11)
-    basis = build_space(2)
+    basis = CompositeBasis(2)
     p = _ALL_CHANNELS.replace(kappa=0.0, pump1=0.0, zeta=0.0)
     base = build_liouvillian(p, basis).entries
     rho = oracles.random_density_matrix(rng, basis.dim)
@@ -66,7 +67,7 @@ def test_dissipator_matches_direct_action():
 
 def test_commutator_matches_direct_action():
     # coherent only: every rate zero, so the generator is -i[H, .]
-    basis = build_space(1)
+    basis = CompositeBasis(1)
     p = ModelParams(
         omega0=1.0, omega1=1.1, omega2=0.9, tunneling_T=0.2, g1=0.1, g2=0.3,
         gamma1=0.0, gamma2=0.0, pump1=0.0, pump2=0.0, cavity_pump=0.0,
@@ -89,7 +90,7 @@ def test_commutator_matches_direct_action():
 )
 def test_liouvillian_is_sum_of_parts(p, n_max, n_channels):
     # every active channel, the phonon-assisted pair included
-    basis = build_space(n_max)
+    basis = CompositeBasis(n_max)
     channels = [(rate, op.entries) for rate, op in jump_operators(p, basis)]
     assert len(channels) == n_channels
     want = oracles.generator_by_columns(hamiltonian(p, basis).entries, channels)
@@ -103,7 +104,7 @@ def test_generator_is_block_diagonal_in_excitation_difference():
     n = np.rint(np.diag(a.conj().T @ a + s1.conj().T @ s1 + s2.conj().T @ s2).real)
     # vec index j*d + i holds rho[i, j]: ket i, bra j
     k = (n[:, None] - n[None, :]).reshape(-1, order="F")
-    entries = build_liouvillian(_ALL_CHANNELS, build_space(3)).entries
+    entries = build_liouvillian(_ALL_CHANNELS, CompositeBasis(3)).entries
     cross = k[:, None] != k[None, :]
     assert cross.any() and np.abs(entries[~cross]).max() > 0.0
     assert np.all(entries[cross] == 0.0)
@@ -112,7 +113,7 @@ def test_generator_is_block_diagonal_in_excitation_difference():
 def test_liouvillian_linear_in_each_rate():
     # doubling one channel rate adds exactly rate * D(channel)
     p = _ALL_CHANNELS
-    basis = build_space(2)
+    basis = CompositeBasis(2)
     zero = np.zeros((basis.dim, basis.dim))
     base = build_liouvillian(p, basis).entries
     bumped = build_liouvillian(p.replace(kappa=2 * p.kappa), basis).entries
@@ -124,7 +125,7 @@ def test_liouvillian_linear_in_each_rate():
 
 
 def test_generator_preserves_trace_and_hermiticity(laucht):
-    basis = build_space(2)
+    basis = CompositeBasis(2)
     lop = build_liouvillian(laucht, basis)
     rng = np.random.default_rng(12)
     rho = oracles.random_density_matrix(rng, basis.dim)
@@ -144,7 +145,7 @@ def test_single_dot_relaxation_spectrum():
         gamma1=decay, gamma2=0.1, pump1=pump, pump2=0.0, cavity_pump=0.0,
         kappa=0.0, zeta=0.0, temperature=4.0,
     )
-    lop = build_liouvillian(p, build_space(1))
+    lop = build_liouvillian(p, CompositeBasis(1))
     eigs = np.linalg.eigvals(lop.entries)
     scale = lop.norm_inf()
     total = pump + decay
@@ -153,7 +154,16 @@ def test_single_dot_relaxation_spectrum():
 
 
 def test_apply_rejects_wrong_length(laucht):
-    basis = build_space(1)
+    basis = CompositeBasis(1)
     lop = build_liouvillian(laucht, basis)
     with pytest.raises(ValueError):
         lop.apply(np.zeros(7, dtype=complex))
+
+
+def test_generator_entries_are_read_only_and_shape_checked(laucht):
+    basis = CompositeBasis(1)
+    lop = build_liouvillian(laucht, basis)
+    with pytest.raises(ValueError):
+        lop.entries[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        SuperoperatorMatrix(basis, np.zeros((3, 3), dtype=complex))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dqdcavity import (
+    CompositeBasis,
     ModelParams,
-    build_space,
     exceptional_point_scan,
     liouvillian_block_crosscheck,
     phat_rates,
@@ -51,7 +51,7 @@ def test_explicit_matrix_entries(laucht):
 
 def test_generic_construction_matches_explicit():
     rng = np.random.default_rng(77)
-    basis = build_space(1)
+    basis = CompositeBasis(1)
     for _ in range(100):
         p = _random_params(rng)
         gap = np.abs(
@@ -61,7 +61,7 @@ def test_generic_construction_matches_explicit():
 
 
 def test_block_of_full_generator_matches(laucht):
-    basis = build_space(1)
+    basis = CompositeBasis(1)
     assert liouvillian_block_crosscheck(laucht, basis) < 1e-12
     rng = np.random.default_rng(13)
     for _ in range(10):

@@ -3,8 +3,8 @@ import pytest
 
 from dqdcavity import (
     BOLTZMANN_MEV_PER_K,
+    CompositeBasis,
     ModelParams,
-    build_space,
     hamiltonian,
     jump_operators,
     phat_rates,
@@ -96,7 +96,7 @@ def test_phat_rates_orientation_and_mirror():
 
 def test_hamiltonian_elements_and_hermiticity():
     p = preset("laucht-strong", zeta=0.0)
-    basis = build_space(2)
+    basis = CompositeBasis(2)
     h = hamiltonian(p, basis)
     assert h.is_hermitian()
     e = h.entries
@@ -125,7 +125,7 @@ def test_hamiltonian_matches_operator_assembly():
         gamma1=0.0, gamma2=0.0, pump1=0.0, pump2=0.0, cavity_pump=0.0,
         kappa=0.0, zeta=0.0, temperature=4.0,
     )
-    basis = build_space(2)
+    basis = CompositeBasis(2)
     a, s1, s2 = oracles.index_built_operators(2)
     want = (
         p.omega0 * a.conj().T @ a
@@ -140,7 +140,7 @@ def test_hamiltonian_matches_operator_assembly():
 
 def test_jump_operators_order_rates_and_omission():
     p = preset("laucht-strong")
-    basis = build_space(1)
+    basis = CompositeBasis(1)
     chans = jump_operators(p, basis)
     rates = [r for r, _ in chans]
     pr = phat_rates(p)

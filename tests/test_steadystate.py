@@ -3,12 +3,15 @@ import pytest
 
 from dqdcavity import (
     BasisMismatchError,
+    CompositeBasis,
     DegenerateSteadyStateError,
     ModelParams,
     annihilation,
     build_liouvillian,
-    build_space,
     expectation,
+    hamiltonian,
+    jump_operators,
+    preset,
     qubit_lowering,
     steady_observables,
     steady_state,
@@ -46,7 +49,7 @@ def test_decoupled_cavity_reaches_thermal_occupation(laucht):
 
 
 def test_residual_trace_and_positivity(laucht):
-    basis = build_space(3)
+    basis = CompositeBasis(3)
     lop = build_liouvillian(laucht, basis)
     rho = steady_state(lop)
     assert abs(rho.trace() - 1.0) < 1e-12
@@ -57,17 +60,20 @@ def test_residual_trace_and_positivity(laucht):
     assert herm < 1e-14
 
 
-def test_lu_and_eigen_solvers_agree(laucht):
-    lop = build_liouvillian(laucht, build_space(2))
-    r_lu = steady_state(lop, method="lu")
-    r_ei = steady_state(lop, method="eigen")
-    assert np.abs(r_lu.entries - r_ei.entries).max() < 1e-8
+def _oracle_generator(p, basis):
+    """Generator of p built matrix unit by matrix unit, not by the package."""
+    channels = [(rate, op.entries) for rate, op in jump_operators(p, basis)]
+    return oracles.generator_by_columns(hamiltonian(p, basis).entries, channels)
 
 
-def test_unknown_method_rejected(laucht):
-    lop = build_liouvillian(laucht, build_space(1))
-    with pytest.raises(ValueError, match="unknown method"):
-        steady_state(lop, method="qr")
+@pytest.mark.parametrize("name, n_max", [("laucht-strong", 2), ("fig3-right", 3)],
+                         ids=["laucht-strong", "fig3-right"])
+def test_lu_and_eigen_solvers_agree(name, n_max):
+    p = preset(name)
+    basis = CompositeBasis(n_max)
+    r_lu = steady_state(build_liouvillian(p, basis))
+    want = oracles.null_vector_state(_oracle_generator(p, basis))
+    assert np.abs(r_lu.entries - want).max() < 1e-8
 
 
 def test_preset_occupations_frozen_regression(laucht):
@@ -101,13 +107,13 @@ def test_truncation_increments_shrink(laucht):
 def test_disconnected_subsystem_raises(laucht):
     # dot 2 loses every channel: the stationary state is no longer unique
     degen = laucht.replace(gamma2=0.0, pump2=0.0, g2=0.0, tunneling_T=0.0, zeta=0.0)
-    lop = build_liouvillian(degen, build_space(1))
+    lop = build_liouvillian(degen, CompositeBasis(1))
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(lop)
 
 
 def test_density_matrix_frozen_and_expectation_checked(laucht):
-    basis = build_space(1)
+    basis = CompositeBasis(1)
     rho = steady_state(build_liouvillian(laucht, basis))
     with pytest.raises(ValueError):
         rho.entries[0, 0] = 0.0
@@ -116,7 +122,7 @@ def test_density_matrix_frozen_and_expectation_checked(laucht):
     assert val.imag == pytest.approx(0.0, abs=1e-12)
     assert val.real > 0.0
     with pytest.raises(BasisMismatchError):
-        expectation(rho, annihilation(build_space(2)))
+        expectation(rho, annihilation(CompositeBasis(2)))
     s1 = qubit_lowering(basis, 1)
     assert expectation(rho, s1.dag() @ s1).real == pytest.approx(
         steady_observables(laucht, n_max=1)["n_qd1"], rel=1e-12

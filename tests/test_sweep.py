@@ -136,20 +136,11 @@ def test_sweep_rejects_bad_parallelism(laucht):
         run_sweep(spec, parallelism=0)
 
 
-def test_spectrum_observable_collected(laucht):
-    grid = default_omega_grid(laucht, points=101)
-    spec = SweepSpec(params=laucht, axis1=_axis(count=2), axis2=_axis("zeta", count=2),
-                     observables=("n_cavity", "spectrum"), n_max=1, omega_grid=grid)
-    result = run_sweep(spec)
-    assert set(result.spectra) == {(i, j) for i in range(2) for j in range(2)}
-    assert result.spectra[(0, 0)].intensities.shape == (101,)
-
-
 def test_stored_dot_excitation_grows_across_delocalization(laucht):
     # along zeta at small tunneling the combined dot population never drops
     prev = None
     for z in np.geomspace(0.5, 10.0, 8):
-        row, _ = evaluate_point(
+        row = evaluate_point(
             SweepSpec(params=laucht.replace(tunneling_T=1e-3),
                       axis1=_axis(count=2), axis2=_axis("zeta", count=2),
                       observables=("n_qd1", "n_qd2"), n_max=3),
