@@ -1,9 +1,11 @@
 """Command-line front end: flags/config resolution, dispatch, CSV/JSON emission.
 
 All energies on this boundary are meV (flag names carry the -mev suffix) and
-temperature is kelvin. Configuration may come from a JSON file (--config) with
-flags taking precedence; the fully resolved configuration is echoed into output
-metadata so any run can be reproduced from its own artifact.
+temperature is kelvin. Configuration may come from a JSON file (--config) whose
+keys are parsed as flags ahead of the explicit ones, so they are checked the
+same way and explicit flags take precedence; the fully resolved configuration
+is echoed into output metadata so any run can be reproduced from its own
+artifact.
 
 Exit codes: 0 success, 1 configuration error (offending field named), 2
 numerical failure (failing parameter point printed).
@@ -81,23 +83,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_model_args(p: _Parser):
-    p.add_argument("--preset", choices=preset_names(), default=None,
-                   help="named parameter set to start from (default laucht-strong)")
+    p.add_argument("--config", default=None,
+                   help="JSON file of flag values, checked like flags; explicit flags win")
+    p.add_argument("--preset", choices=preset_names(), default="laucht-strong",
+                   help="named parameter set to start from (default %(default)s)")
     for dest, field in _PARAM_DESTS.items():
         flag = "--" + dest.replace("_", "-")
         unit = "K" if dest == "temperature_k" else "meV"
-        p.add_argument(flag, dest=dest, type=float, default=None,
-                       help=f"override {field} ({unit})")
-    p.add_argument("--n-max", dest="n_max", type=int, default=None,
-                   help="photon cutoff (default 3)")
+        p.add_argument(flag, type=float, default=None, help=f"override {field} ({unit})")
+    p.add_argument("--n-max", type=int, default=3, help="photon cutoff (default %(default)s)")
 
 
 def _add_io_args(p: _Parser, default_format: str):
-    p.add_argument("--config", default=None,
-                   help="JSON file with flag values; explicit flags win")
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default=None,
-                   help=f"output format (default {default_format})")
+    p.add_argument("--format", choices=("json", "csv"), default=default_format,
+                   help="output format (default %(default)s)")
 
 
 def _build_parser() -> _Parser:
@@ -116,75 +116,56 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("spectrum", help="cavity emission spectrum")
     _add_model_args(p)
     _add_io_args(p, "csv")
-    p.add_argument("--omega-min-mev", dest="omega_min_mev", type=float, default=None)
-    p.add_argument("--omega-max-mev", dest="omega_max_mev", type=float, default=None)
-    p.add_argument("--omega-points", dest="omega_points", type=int, default=None,
-                   help="grid size (default 2001)")
-    p.add_argument("--normalize", dest="normalize", action="store_const", const=True,
-                   default=None, help="scale intensities to unit maximum")
+    p.add_argument("--omega-min-mev", type=float, default=None)
+    p.add_argument("--omega-max-mev", type=float, default=None)
+    p.add_argument("--omega-points", type=int, default=2001,
+                   help="grid size (default %(default)s)")
+    p.add_argument("--normalize", action="store_true",
+                   help="scale intensities to unit maximum")
 
     p = sub.add_parser("g2", help="second-order coherence g2(tau)")
     _add_model_args(p)
     _add_io_args(p, "csv")
-    p.add_argument("--tau-points", dest="tau_points", type=int, default=None)
-    p.add_argument("--tau-min-inv-kappa", dest="tau_min_inv_kappa", type=float, default=None,
-                   help="shortest delay in units of 1/kappa (default 1e-3)")
-    p.add_argument("--tau-max-inv-kappa", dest="tau_max_inv_kappa", type=float, default=None,
-                   help="longest delay in units of 1/kappa (default 1e2)")
+    p.add_argument("--tau-points", type=int, default=200)
+    p.add_argument("--tau-min-inv-kappa", type=float, default=1e-3,
+                   help="shortest delay in units of 1/kappa (default %(default)s)")
+    p.add_argument("--tau-max-inv-kappa", type=float, default=1e2,
+                   help="longest delay in units of 1/kappa (default %(default)s)")
 
     p = sub.add_parser("sweep", help="two-axis log grid sweep")
     _add_model_args(p)
     _add_io_args(p, "csv")
-    p.add_argument("--axis1", default=None, help="name:start:stop:count (log spaced)")
-    p.add_argument("--axis2", default=None, help="name:start:stop:count (log spaced)")
-    p.add_argument("--observables", default=None,
+    p.add_argument("--axis1", default="tunneling_T:0.001:10:40",
+                   help="name:start:stop:count, log spaced (default %(default)s)")
+    p.add_argument("--axis2", default="zeta:0.001:10:40",
+                   help="name:start:stop:count, log spaced (default %(default)s)")
+    p.add_argument("--observables", default="n_cavity,n_qd1,n_qd2",
                    help="comma list from n_cavity,n_qd1,n_qd2,g2_zero,transition_lines")
-    p.add_argument("--parallelism", dest="parallelism", type=int, default=None,
-                   help="worker threads (default DQDCAVITY_PARALLELISM or 1)")
+    p.add_argument("--parallelism", type=int, default=1, help="worker threads (default 1)")
 
     p = sub.add_parser("figures", help="write plot-ready data files")
     _add_model_args(p)
-    p.add_argument("--config", default=None,
-                   help="JSON file with flag values; explicit flags win")
     p.add_argument("--out", default=None, help="output directory (required)")
-    p.add_argument("--which", choices=("1", "2", "3", "all"), default=None)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=None,
-                   help="points per sweep axis (default 40)")
-    p.add_argument("--zeta-points", dest="zeta_points", type=int, default=None,
-                   help="zeta values per spectra panel (default 40)")
-    p.add_argument("--parallelism", dest="parallelism", type=int, default=None)
+    p.add_argument("--which", choices=("1", "2", "3", "all"), default="all")
+    p.add_argument("--grid-points", type=int, default=40,
+                   help="points per sweep axis (default %(default)s)")
+    p.add_argument("--zeta-points", type=int, default=40,
+                   help="zeta values per spectra panel (default %(default)s)")
+    p.add_argument("--parallelism", type=int, default=1, help="worker threads (default 1)")
     return parser
-
-
-_DEFAULTS_COMMON = {"preset": "laucht-strong", "n_max": 3, "out": None, "config": None}
-_DEFAULTS = {
-    "steady": {"format": "json"},
-    "lines": {"format": "json"},
-    "spectrum": {"format": "csv", "omega_min_mev": None, "omega_max_mev": None,
-                 "omega_points": 2001, "normalize": False},
-    "g2": {"format": "csv", "tau_points": 200, "tau_min_inv_kappa": 1e-3,
-           "tau_max_inv_kappa": 1e2},
-    "sweep": {"format": "csv", "axis1": "tunneling_T:0.001:10:40",
-              "axis2": "zeta:0.001:10:40",
-              "observables": "n_cavity,n_qd1,n_qd2", "parallelism": None},
-    "figures": {"which": "all", "grid_points": 40, "zeta_points": 40,
-                "parallelism": None},
-}
-for dest in _PARAM_DESTS:
-    _DEFAULTS_COMMON.setdefault(dest, None)
 
 
 @dataclasses.dataclass
 class RunConfig:
-    """Fully resolved run: every knob pinned, parameters validated."""
+    """Fully resolved run: every flag's value, parameters validated."""
 
     subcommand: str
     params: ModelParams
     options: dict
-    echo: dict
 
 
-def _load_config_file(path: str, allowed: set, subcommand: str) -> dict:
+def _config_flags(path: str, ns: argparse.Namespace) -> list[str]:
+    """The keys of a --config file as --key=value flags of the invoked subcommand."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -195,62 +176,56 @@ def _load_config_file(path: str, allowed: set, subcommand: str) -> dict:
     if not isinstance(data, dict):
         raise CliConfigError(f"config file {path!r} must hold a JSON object")
     data = dict(data)
-    sub = data.pop("subcommand", None)
-    if sub is not None and sub != subcommand:
+    sub = data.pop("subcommand", ns.subcommand)
+    if sub != ns.subcommand:
         raise CliConfigError(
-            f"config file targets subcommand {sub!r} but {subcommand!r} was invoked"
+            f"config file targets subcommand {sub!r} but {ns.subcommand!r} was invoked"
         )
-    for key in data:
-        if key not in allowed:
+    flags = []
+    for key, value in data.items():
+        if key == "config" or not hasattr(ns, key):
             raise CliConfigError(f"unknown configuration key {key!r} in {path!r}")
-    return data
+        switch = isinstance(getattr(ns, key), bool)
+        if switch != isinstance(value, bool) or isinstance(value, (list, dict)):
+            raise CliConfigError(f"configuration key {key!r} in {path!r} cannot be {value!r}")
+        flag = "--" + key.replace("_", "-")
+        if switch:
+            flags += [flag] if value else []
+        elif value is not None:
+            flags.append(f"{flag}={value}")
+    return flags
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv, a --config file's flags going first so that explicit flags win."""
+    parser = _build_parser()
+    ns = parser.parse_args(argv)
+    if ns.config is None:
+        return ns
+    flags = _config_flags(ns.config, ns)
+    try:
+        parser.parse_args([ns.subcommand, *flags])
+    except CliConfigError as exc:
+        raise CliConfigError(f"config file {ns.config!r}: {exc}") from None
+    return parser.parse_args([argv[0], *flags, *argv[1:]])
 
 
 def _resolve(ns: argparse.Namespace) -> RunConfig:
-    subcommand = ns.subcommand
-    defaults = dict(_DEFAULTS_COMMON)
-    defaults.update(_DEFAULTS[subcommand])
-    allowed = set(defaults) - {"config"}
-
-    merged = dict(defaults)
-    if ns.config is not None:
-        merged.update(_load_config_file(ns.config, allowed, subcommand))
-    for dest in allowed:
-        value = getattr(ns, dest, None)
-        if value is not None:
-            merged[dest] = value
-
-    if merged.get("parallelism", "absent") is None:
-        env = os.environ.get("DQDCAVITY_PARALLELISM")
-        if env is None:
-            merged["parallelism"] = 1
-        else:
-            try:
-                merged["parallelism"] = int(env)
-            except ValueError:
-                raise CliConfigError(
-                    f"DQDCAVITY_PARALLELISM must be an integer, got {env!r}"
-                ) from None
-
-    overrides = {}
-    for dest, field in _PARAM_DESTS.items():
-        if merged.get(dest) is not None:
-            overrides[field] = float(merged[dest])
+    options = vars(ns)
+    overrides = {
+        field: options[dest] for dest, field in _PARAM_DESTS.items() if options[dest] is not None
+    }
     try:
-        params = preset(merged["preset"], **overrides)
-    except (ValueError, TypeError) as exc:
+        params = preset(options["preset"], **overrides)
+    except ValueError as exc:
         raise CliConfigError(str(exc)) from exc
-
-    echo = {"subcommand": subcommand}
-    echo.update({k: merged[k] for k in sorted(allowed)})
-    options = {k: merged[k] for k in merged if k not in _PARAM_DESTS and k != "preset"}
-    return RunConfig(subcommand=subcommand, params=params, options=options, echo=echo)
+    return RunConfig(subcommand=ns.subcommand, params=params, options=options)
 
 
 def _envelope(kind: str, cfg: RunConfig, data, extra_metadata: dict | None = None) -> dict:
     metadata = {
         "package_version": __version__,
-        "config": cfg.echo,
+        "config": {k: v for k, v in cfg.options.items() if k != "config"},
         "params": cfg.params.as_dict(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -275,46 +250,41 @@ def _write_sidecar(cfg: RunConfig, path: str, extra_metadata: dict | None = None
     _write(path + ".meta.json", json.dumps(sidecar, indent=2, sort_keys=True))
 
 
-def _emit(cfg: RunConfig, text: str, extra_metadata: dict | None = None) -> None:
-    """Print text, or write it to --out; a CSV there gets a .meta.json sidecar."""
-    out = cfg.options.get("out")
+def _emit(cfg: RunConfig, data, csv_text, extra_metadata: dict | None = None) -> None:
+    """Write data in a JSON envelope, or the CSV that csv_text() returns, to stdout or --out.
+
+    A CSV written to --out gets a .meta.json sidecar.
+    """
+    csv_format = cfg.options["format"] == "csv"
+    if csv_format:
+        text = csv_text()
+    else:
+        envelope = _envelope(cfg.subcommand, cfg, data, extra_metadata)
+        text = json.dumps(envelope, indent=2, sort_keys=True)
+    out = cfg.options["out"]
     if out is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
         _write(out, text)
-        if cfg.options["format"] == "csv":
+        if csv_format:
             _write_sidecar(cfg, out, extra_metadata)
 
 
 def _cmd_steady(cfg: RunConfig) -> int:
     values = steady_observables(cfg.params, n_max=cfg.options["n_max"])
-    if cfg.options["format"] == "json":
-        text = json.dumps(_envelope("steady", cfg, values), indent=2, sort_keys=True)
-    else:
-        text = csv_table(list(values), [[values[k] for k in values]])
-    _emit(cfg, text)
+    _emit(cfg, values, lambda: csv_table(list(values), [list(values.values())]))
     return 0
 
 
 def _cmd_lines(cfg: RunConfig) -> int:
-    lines = transition_lines(cfg.params)
+    header = ["line_index", "frequency_mev", "offset_mev", "hwhm_mev"]
     records = [
-        {
-            "line_index": k,
-            "frequency_mev": line.frequency,
-            "offset_mev": line.offset,
-            "hwhm_mev": line.hwhm,
-        }
-        for k, line in enumerate(lines, start=1)
+        dict(zip(header, (k, line.frequency, line.offset, line.hwhm)))
+        for k, line in enumerate(transition_lines(cfg.params), start=1)
     ]
-    if cfg.options["format"] == "json":
-        text = json.dumps(_envelope("lines", cfg, records), indent=2, sort_keys=True)
-    else:
-        header = ["line_index", "frequency_mev", "offset_mev", "hwhm_mev"]
-        text = csv_table(header, [[r[h] for h in header] for r in records])
-    _emit(cfg, text)
+    _emit(cfg, records, lambda: csv_table(header, [list(r.values()) for r in records]))
     return 0
 
 
@@ -341,22 +311,17 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
         top = intensities.max()
         if top > 0.0:
             intensities = intensities / top
-    if cfg.options["format"] == "json":
-        data = {
-            "omega_mev": result.frequencies.tolist(),
-            "offset_mev": result.offsets.tolist(),
-            "intensity": intensities.tolist(),
-            "poles": [{"re": p.real, "im": p.imag} for p in result.poles],
-            "amplitudes": [{"re": a.real, "im": a.imag} for a in result.amplitudes],
-        }
-        text = json.dumps(_envelope("spectrum", cfg, data), indent=2, sort_keys=True)
-    else:
-        rows = [
-            [float(w), float(off), float(i)]
-            for w, off, i in zip(result.frequencies, result.offsets, intensities)
-        ]
-        text = csv_table(["omega_mev", "offset_mev", "intensity"], rows)
-    _emit(cfg, text)
+    data = {
+        "omega_mev": result.frequencies.tolist(),
+        "offset_mev": result.offsets.tolist(),
+        "intensity": intensities.tolist(),
+        "poles": [{"re": p.real, "im": p.imag} for p in result.poles],
+        "amplitudes": [{"re": a.real, "im": a.imag} for a in result.amplitudes],
+    }
+    _emit(cfg, data, lambda: csv_table(
+        ["omega_mev", "offset_mev", "intensity"],
+        zip(data["omega_mev"], data["offset_mev"], data["intensity"]),
+    ))
     return 0
 
 
@@ -373,13 +338,9 @@ def _cmd_g2(cfg: RunConfig) -> int:
         )
     taus = np.geomspace(lo / kappa, hi / kappa, points)
     pairs = g2(cfg.params, taus, n_max=cfg.options["n_max"])
-    if cfg.options["format"] == "json":
-        data = [{"tau_hbar_per_mev": t, "tau_kappa": t * kappa, "g2": v} for t, v in pairs]
-        text = json.dumps(_envelope("g2", cfg, data), indent=2, sort_keys=True)
-    else:
-        rows = [[t, t * kappa, v] for t, v in pairs]
-        text = csv_table(["tau_hbar_per_mev", "tau_kappa", "g2"], rows)
-    _emit(cfg, text)
+    header = ["tau_hbar_per_mev", "tau_kappa", "g2"]
+    data = [dict(zip(header, (t, t * kappa, v))) for t, v in pairs]
+    _emit(cfg, data, lambda: csv_table(header, [list(r.values()) for r in data]))
     return 0
 
 
@@ -416,16 +377,11 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise CliConfigError(str(exc)) from exc
     result = run_sweep(spec, parallelism=cfg.options["parallelism"])
-    extra = {"sweep": result.metadata}
-    if cfg.options["format"] == "json":
-        data = {
-            "columns": list(result.columns),
-            "rows": [[row[c] for c in result.columns] for row in result.rows],
-        }
-        text = json.dumps(_envelope("sweep", cfg, data, extra), indent=2, sort_keys=True)
-    else:
-        text = result.to_csv()
-    _emit(cfg, text, extra)
+    data = {
+        "columns": list(result.columns),
+        "rows": [[row[c] for c in result.columns] for row in result.rows],
+    }
+    _emit(cfg, data, result.to_csv, {"sweep": result.metadata})
     return 0
 
 
@@ -434,7 +390,7 @@ def _figure_tag(value: float) -> str:
 
 
 def _cmd_figures(cfg: RunConfig) -> int:
-    outdir = cfg.options.get("out")
+    outdir = cfg.options["out"]
     if not outdir:
         raise CliConfigError("figures requires --out pointing at an output directory")
     os.makedirs(outdir, exist_ok=True)
@@ -516,9 +472,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = _build_parser().parse_args(argv)
-        cfg = _resolve(ns)
+        cfg = _resolve(_parse(argv))
     except CliConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -85,10 +85,10 @@ class CorrelationResult:
 class SpectrumResult:
     """Emission intensity on a frequency grid plus its Lorentzian mode content.
 
-    frequencies are absolute (meV); offsets are frequencies - omega0. The
-    components property pairs each retained residue with its generator
-    eigenvalue; summing Re[c_k / (-lambda_k - i w)] times kappa/pi over
-    components reproduces intensities exactly.
+    frequencies are absolute (meV); offsets are frequencies - omega0. Each
+    retained residue amplitudes[k] = c_k pairs with the generator eigenvalue
+    poles[k] = lambda_k; summing Re[c_k / (-lambda_k - i w)] times kappa/pi
+    over k reproduces intensities exactly.
     """
 
     frequencies: np.ndarray
@@ -110,10 +110,6 @@ class SpectrumResult:
             object.__setattr__(self, name, arr)
         if self.amplitudes.shape != self.poles.shape:
             raise ValueError("amplitudes and poles must have identical shapes")
-
-    @property
-    def components(self) -> list[tuple[complex, complex]]:
-        return [(complex(a), complex(p)) for a, p in zip(self.amplitudes, self.poles)]
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,6 @@ from .errors import BasisMismatchError
 G = 0
 X = 1
 
-_LEVEL_NAMES = {G: "G", X: "X"}
-
 
 @dataclass(frozen=True)
 class CompositeBasis:
@@ -44,18 +42,6 @@ class CompositeBasis:
         if s1 not in (G, X) or s2 not in (G, X):
             raise ValueError(f"dot levels must be G={G} or X={X}, got ({s1}, {s2})")
         return n * 4 + s1 * 2 + s2
-
-    def state_at(self, flat: int) -> tuple[int, int, int]:
-        """Inverse of index_of: (n, s1, s2) at a flat index."""
-        if not 0 <= flat < self.dim:
-            raise ValueError(f"flat index {flat} outside 0..{self.dim - 1}")
-        n, rest = divmod(flat, 4)
-        s1, s2 = divmod(rest, 2)
-        return n, s1, s2
-
-    def state_label(self, flat: int) -> str:
-        n, s1, s2 = self.state_at(flat)
-        return f"|{n},{_LEVEL_NAMES[s1]},{_LEVEL_NAMES[s2]}>"
 
 
 @dataclass(frozen=True)
@@ -88,17 +74,6 @@ class OperatorMatrix:
                 f"operators live on different bases (n_max {self.basis.n_max} vs {other.basis.n_max})"
             )
         return OperatorMatrix(self.basis, self.entries @ other.entries)
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        """Max deviation from Hermiticity below tol relative to the largest entry."""
-        scale = np.abs(self.entries).max()
-        if scale == 0.0:
-            return True
-        return np.abs(self.entries - self.entries.conj().T).max() <= tol * scale
-
-    def assert_hermitian(self, tol: float = 1e-12):
-        if not self.is_hermitian(tol):
-            raise ValueError("operator is not Hermitian within tolerance")
 
 
 def annihilation(basis: CompositeBasis) -> OperatorMatrix:

@@ -63,12 +63,10 @@ class SuperoperatorMatrix:
         return float(np.abs(self.entries).sum(axis=1).max())
 
 
-def build_liouvillian(params: ModelParams, basis: CompositeBasis) -> SuperoperatorMatrix:
-    """Generator kron(I, K) + kron(conj(K), I) + sum_k kron(r_k conj(O_k), O_k).
-
-    This is -i[H, .] + sum_k r_k D[O_k] with K = -iH - sum_k r_k O_k^dag O_k / 2,
-    where D[O] rho = O rho O^dag - {O^dag O, rho}/2 is the Lindblad dissipator.
-    """
+def effective_hamiltonian(
+    params: ModelParams, basis: CompositeBasis
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """K = -iH - sum_k r_k O_k^dag O_k / 2 and the (r_k conj(O_k), O_k) jump pairs."""
     k = -1j * hamiltonian(params, basis).entries
     channels = []
     for rate, op in jump_operators(params, basis):
@@ -77,6 +75,16 @@ def build_liouvillian(params: ModelParams, basis: CompositeBasis) -> Superoperat
         o = op.entries
         k -= 0.5 * rate * (o.conj().T @ o)
         channels.append((rate * o.conj(), o))
+    return k, channels
+
+
+def build_liouvillian(params: ModelParams, basis: CompositeBasis) -> SuperoperatorMatrix:
+    """Generator kron(I, K) + kron(conj(K), I) + sum_k kron(r_k conj(O_k), O_k).
+
+    This is -i[H, .] + sum_k r_k D[O_k] with K from effective_hamiltonian,
+    where D[O] rho = O rho O^dag - {O^dag O, rho}/2 is the Lindblad dissipator.
+    """
+    k, channels = effective_hamiltonian(params, basis)
     eye = np.eye(basis.dim)
     total = np.kron(eye, k)
     total += np.kron(k.conj(), eye)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import G, X, CompositeBasis, annihilation, qubit_lowering
-from .liouvillian import build_liouvillian
-from .model import ModelParams, hamiltonian, phat_rates
+from .hilbert import G, X, CompositeBasis
+from .liouvillian import build_liouvillian, effective_hamiltonian
+from .model import ModelParams, phat_rates
 
 
 @dataclass(frozen=True)
@@ -63,47 +63,22 @@ def _manifold_indices(basis: CompositeBasis) -> tuple[list[int], list[int]]:
     return zero, one
 
 
-def transition_matrix_generic(params: ModelParams, basis: CompositeBasis) -> np.ndarray:
-    """Same block assembled from projected operators, without closed-form input.
+def _gains_off(params: ModelParams) -> ModelParams:
+    return params.replace(pump1=0.0, pump2=0.0, cavity_pump=0.0)
 
-    Builds the non-Hermitian drift K = H - (i/2)(gamma_1 n_1 + gamma_2 n_2 +
-    kappa a^dag a), projects K and the two PhAT transfer operators onto the
-    zero- and one-excitation manifolds, and combines them in the vectorized
-    (ket block) x (conjugated bra block) form. Must agree with
+
+def transition_matrix_generic(params: ModelParams, basis: CompositeBasis) -> np.ndarray:
+    """Same block read off the generator's K, without closed-form input.
+
+    With the gains zeroed every jump operator empties the vacuum, so
+    K = -iH - sum_k r_k O_k^dag O_k / 2 annihilates |0GG> and the generator
+    acts on (one-excitation ket, vacuum bra) coherences as K on the ket alone:
+    the block is K on the one-excitation kets. Must agree with
     transition_matrix_explicit to machine precision.
     """
-    rates = phat_rates(params)
-    h = hamiltonian(params, basis).entries
-    a = annihilation(basis).entries
-    s1 = qubit_lowering(basis, 1).entries
-    s2 = qubit_lowering(basis, 2).entries
-    k = h - 0.5j * (
-        params.gamma1 * (s1.conj().T @ s1)
-        + params.gamma2 * (s2.conj().T @ s2)
-        + params.kappa * (a.conj().T @ a)
-    )
-    zero, one = _manifold_indices(basis)
-
-    def block(op: np.ndarray, rows: list[int]) -> np.ndarray:
-        return op[np.ix_(rows, rows)]
-
-    eye0 = np.eye(len(zero))
-    eye1 = np.eye(len(one))
-    m = (np.kron(block(k, one), eye0) - np.kron(eye1, block(k, zero).conj())) / 1j
-    transfers = (
-        (rates.gamma_T, s1.conj().T @ s2),
-        (rates.p_T, s2.conj().T @ s1),
-    )
-    for xi, c in transfers:
-        if xi == 0.0:
-            continue
-        cdc = c.conj().T @ c
-        m += 0.5 * xi * (
-            2.0 * np.kron(block(c, one), block(c, zero).conj())
-            - np.kron(block(cdc, one), eye0)
-            - np.kron(eye1, block(cdc, zero).T)
-        )
-    return m
+    k, _ = effective_hamiltonian(_gains_off(params), basis)
+    _, one = _manifold_indices(basis)
+    return k[np.ix_(one, one)]
 
 
 def transition_lines(params: ModelParams) -> tuple[TransitionLine, TransitionLine, TransitionLine]:
@@ -125,7 +100,7 @@ def transition_lines(params: ModelParams) -> tuple[TransitionLine, TransitionLin
 def liouvillian_block_crosscheck(
     params: ModelParams, basis: CompositeBasis, *, zero_gains: bool = True
 ) -> float:
-    """Max entrywise gap between the projected block and the full generator's.
+    """Max entrywise gap between the K-slice block and the full generator's.
 
     The generator rows/columns belonging to (one-excitation ket, vacuum bra)
     coherences are extracted directly from the assembled superoperator and
@@ -133,10 +108,7 @@ def liouvillian_block_crosscheck(
     pumps and the cavity feed) zeroed the two agree to machine precision; with
     gains left on they must not, which is what makes this a real cross-check.
     """
-    if zero_gains:
-        params_used = params.replace(pump1=0.0, pump2=0.0, cavity_pump=0.0)
-    else:
-        params_used = params
+    params_used = _gains_off(params) if zero_gains else params
     lio = build_liouvillian(params_used, basis)
     zero, one = _manifold_indices(basis)
     d = basis.dim

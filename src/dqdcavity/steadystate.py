@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import lapack
 
@@ -23,22 +21,8 @@ _RCOND_FLOOR = 1e-13
 _RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(OperatorMatrix):
     """Hermitian, unit-trace density matrix on a CompositeBasis."""
-
-    basis: CompositeBasis
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
-        if arr.shape != (self.basis.dim, self.basis.dim):
-            raise ValueError(
-                f"entries shape {arr.shape} does not match basis dim {self.basis.dim}"
-            )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
 
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
@@ -111,10 +95,9 @@ def expectation(rho: DensityMatrix, op: OperatorMatrix) -> complex:
     return complex(np.trace(rho.entries @ op.entries))
 
 
-def steady_observables(params: ModelParams, n_max: int = 3) -> dict[str, float]:
-    """Stationary occupations: photons and the two exciton populations."""
-    basis = CompositeBasis(n_max)
-    rho = steady_state(build_liouvillian(params, basis))
+def occupations(rho: DensityMatrix) -> dict[str, float]:
+    """Photon number and the two exciton populations in rho."""
+    basis = rho.basis
     a = annihilation(basis)
     s1 = qubit_lowering(basis, 1)
     s2 = qubit_lowering(basis, 2)
@@ -123,3 +106,8 @@ def steady_observables(params: ModelParams, n_max: int = 3) -> dict[str, float]:
         "n_qd1": expectation(rho, s1.dag() @ s1).real,
         "n_qd2": expectation(rho, s2.dag() @ s2).real,
     }
+
+
+def steady_observables(params: ModelParams, n_max: int = 3) -> dict[str, float]:
+    """Stationary occupations: photons and the two exciton populations."""
+    return occupations(steady_state(build_liouvillian(params, CompositeBasis(n_max))))

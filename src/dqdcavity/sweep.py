@@ -19,13 +19,16 @@ import numpy as np
 
 from ._version import __version__
 from .dynamics import SpectrumResult, g2_zero_from_state, pl_spectrum
-from .hilbert import CompositeBasis, annihilation, qubit_lowering
+from .hilbert import CompositeBasis
+# bound here only because perfbench/tracing.py patches them under these names
+from .hilbert import annihilation, qubit_lowering  # noqa: F401
 from .liouvillian import build_liouvillian
 from .manifold import TransitionLine, transition_lines
 from .model import ModelParams
-from .steadystate import expectation, steady_state
+from .steadystate import occupations, steady_state
 
-SCALAR_OBSERVABLES = ("n_cavity", "n_qd1", "n_qd2", "g2_zero")
+_OCCUPATIONS = ("n_cavity", "n_qd1", "n_qd2")
+SCALAR_OBSERVABLES = _OCCUPATIONS + ("g2_zero",)
 ALLOWED_OBSERVABLES = SCALAR_OBSERVABLES + ("transition_lines",)
 
 _PARAM_NAMES = tuple(f.name for f in dataclasses.fields(ModelParams))
@@ -134,23 +137,6 @@ def _map(fn, tasks: list, parallelism: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _scalar_values(rho, wanted: tuple[str, ...]) -> dict:
-    basis = rho.basis
-    out = {}
-    if "n_cavity" in wanted:
-        a = annihilation(basis)
-        out["n_cavity"] = expectation(rho, a.dag() @ a).real
-    if "n_qd1" in wanted:
-        s1 = qubit_lowering(basis, 1)
-        out["n_qd1"] = expectation(rho, s1.dag() @ s1).real
-    if "n_qd2" in wanted:
-        s2 = qubit_lowering(basis, 2)
-        out["n_qd2"] = expectation(rho, s2.dag() @ s2).real
-    if "g2_zero" in wanted:
-        out["g2_zero"] = g2_zero_from_state(rho)
-    return out
-
-
 def evaluate_point(spec: SweepSpec, value1: float, value2: float) -> dict:
     """One grid point as a row dict over spec.columns(). Errors become data."""
     row = {c: None for c in spec.columns()}
@@ -161,9 +147,11 @@ def evaluate_point(spec: SweepSpec, value1: float, value2: float) -> dict:
             **{spec.axis1.name: float(value1), spec.axis2.name: float(value2)}
         )
         if any(name in spec.observables for name in SCALAR_OBSERVABLES):
-            basis = CompositeBasis(spec.n_max)
-            rho = steady_state(build_liouvillian(point, basis))
-            row.update(_scalar_values(rho, spec.observables))
+            rho = steady_state(build_liouvillian(point, CompositeBasis(spec.n_max)))
+            if any(name in spec.observables for name in _OCCUPATIONS):
+                row.update((k, v) for k, v in occupations(rho).items() if k in spec.observables)
+            if "g2_zero" in spec.observables:
+                row["g2_zero"] = g2_zero_from_state(rho)
         if "transition_lines" in spec.observables:
             for k, line in enumerate(transition_lines(point), start=1):
                 row[f"line{k}_frequency_mev"] = line.frequency

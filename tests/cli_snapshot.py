@@ -1,0 +1,109 @@
+"""Run a fixed set of small CLI invocations and store everything they produce.
+
+    PYTHONPATH=src python3 tests/cli_snapshot.py OUTDIR
+
+Each case runs through ``dqdcavity.cli.main`` in this process and gets its own
+directory ``OUTDIR/<case>/`` holding the files it wrote plus ``stdout.txt``,
+``stderr.txt`` and ``exit_code.txt``. JSON ``"timestamp"`` values and the
+OUTDIR path itself are masked afterwards, so two snapshots of the same
+program compare byte for byte:
+
+    diff -r before/ after/
+
+Pytest does not collect this file; it is a byte gate for changes that must
+not alter what the CLI writes.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import re
+import sys
+
+from dqdcavity.cli import main
+
+_SMALL = ["--preset", "laucht-strong", "--n-max", "2"]
+_GRID = ["--axis1", "tunneling_T:0.001:10:6", "--axis2", "zeta:0.001:10:6"]
+_ALL_SCALARS = "n_cavity,n_qd1,n_qd2,g2_zero,transition_lines"
+# omega2 == omega1 is valid only at zeta 0, so every point that sets zeta > 0 fails
+_DEGENERATE = ["--omega2-mev", "1218.0", "--zeta-mev", "0"]
+
+# case name -> (argv with {d} for the case directory, config file contents or None)
+CASES = {
+    "steady_json": (["steady", *_SMALL], None),
+    "steady_csv": (["steady", *_SMALL, "--format", "csv", "--out", "{d}/steady.csv"], None),
+    "lines_json": (["lines", *_SMALL], None),
+    "lines_csv": (["lines", *_SMALL, "--format", "csv", "--out", "{d}/lines.csv"], None),
+    "spectrum_csv": (["spectrum", *_SMALL, "--omega-points", "201",
+                      "--out", "{d}/spectrum.csv"], None),
+    "spectrum_json": (["spectrum", *_SMALL, "--omega-points", "201", "--format", "json"], None),
+    "spectrum_normalized_csv": (["spectrum", *_SMALL, "--omega-points", "201", "--normalize",
+                                 "--out", "{d}/spectrum.csv"], None),
+    "spectrum_normalized_json": (["spectrum", *_SMALL, "--omega-points", "201", "--normalize",
+                                  "--format", "json"], None),
+    "g2_csv": (["g2", *_SMALL, "--tau-points", "20", "--out", "{d}/g2.csv"], None),
+    "g2_json": (["g2", *_SMALL, "--tau-points", "20", "--format", "json"], None),
+    "sweep_csv": (["sweep", *_SMALL, *_GRID, "--observables", _ALL_SCALARS,
+                   "--parallelism", "2", "--out", "{d}/sweep.csv"], None),
+    "sweep_json": (["sweep", *_SMALL, *_GRID, "--observables", _ALL_SCALARS,
+                    "--parallelism", "2", "--format", "json"], None),
+    "sweep_all_errors": (["sweep", *_SMALL, *_DEGENERATE, *_GRID,
+                          "--out", "{d}/sweep.csv"], None),
+    "sweep_rejects_spectrum": (["sweep", *_SMALL, "--observables", "n_cavity,spectrum"], None),
+    "figures_2": (["figures", *_SMALL, "--which", "2", "--zeta-points", "3",
+                   "--parallelism", "2", "--out", "{d}/fig"], None),
+    "figures_2_all_fail": (["figures", *_SMALL, *_DEGENERATE, "--which", "2",
+                            "--zeta-points", "3", "--out", "{d}/fig"], None),
+    "figures_1": (["figures", *_SMALL, "--which", "1", "--grid-points", "3",
+                   "--out", "{d}/fig"], None),
+    "figures_3": (["figures", *_SMALL, "--which", "3", "--grid-points", "3",
+                   "--out", "{d}/fig"], None),
+    "config_merge": (["steady", "--config", "{d}/run.json", "--zeta-mev", "0.4"],
+                     {"preset": "laucht-strong", "zeta_mev": 0.2, "n_max": 1,
+                      "format": "csv"}),
+    "config_bad_format": (["steady", "--config", "{d}/run.json"], {"format": "xml"}),
+}
+
+_TIMESTAMP = re.compile(r'("timestamp": )"[^"]*"')
+
+
+def _run_case(case_dir: str, argv: list[str], config) -> None:
+    os.makedirs(case_dir)
+    if config is not None:
+        with open(os.path.join(case_dir, "run.json"), "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([arg.replace("{d}", case_dir) for arg in argv])
+    for name, text in (("stdout.txt", out.getvalue()), ("stderr.txt", err.getvalue()),
+                       ("exit_code.txt", f"{code}\n")):
+        with open(os.path.join(case_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _mask(root: str) -> None:
+    for folder, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(folder, name)
+            with open(path, encoding="utf-8", newline="") as fh:
+                text = fh.read()
+            masked = _TIMESTAMP.sub(r'\1"<timestamp>"', text.replace(root, "<OUTDIR>"))
+            if masked != text:
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(masked)
+
+
+def snapshot(outdir: str) -> None:
+    root = os.path.abspath(outdir)
+    for case, (argv, config) in CASES.items():
+        _run_case(os.path.join(root, case), argv, config)
+    _mask(root)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUTDIR")
+    snapshot(sys.argv[1])

@@ -196,23 +196,76 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert str(cfg) in err
 
 
-def test_parallelism_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DQDCAVITY_PARALLELISM", "3")
-    code, out, _ = _run(capsys, [
-        "sweep", "--preset", "laucht-strong", "--n-max", "1",
-        "--axis1", "tunneling_T:0.001:10:2", "--axis2", "zeta:0.001:10:2",
-        "--observables", "n_cavity", "--format", "json",
-    ])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["metadata"]["config"]["parallelism"] == 3
-    monkeypatch.setenv("DQDCAVITY_PARALLELISM", "many")
-    code, _, err = _run(capsys, [
-        "sweep", "--preset", "laucht-strong",
-        "--axis1", "tunneling_T:0.001:10:2", "--axis2", "zeta:0.001:10:2",
-    ])
+@pytest.mark.parametrize(
+    ("subcommand", "config"),
+    [
+        ("sweep", {"parallelism": "two"}),
+        ("spectrum", {"omega_points": "11x"}),
+        ("steady", {"format": "xml"}),
+        ("figures", {"which": "5"}),
+    ],
+)
+def test_config_file_values_checked_like_flags(tmp_path, capsys, subcommand, config):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = _run(capsys, [subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 1
-    assert "DQDCAVITY_PARALLELISM" in err
+    assert "configuration error" in err
+    assert str(cfg) in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+_PARAM_NONE = {
+    f"{name}_mev": None
+    for name in ("omega0", "omega1", "omega2", "tunneling", "g1", "g2", "gamma1",
+                 "gamma2", "pump1", "pump2", "cavity_pump", "kappa", "zeta")
+}
+_COMMON_DEFAULTS = {"preset": "laucht-strong", "n_max": 3, "temperature_k": None, **_PARAM_NONE}
+_SMALL_GRID = ["--axis1", "tunneling_T:0.001:10:2", "--axis2", "zeta:0.001:10:2"]
+
+# subcommand -> (flags a fast run needs, --out under tmp_path, expected metadata.config);
+# --out None reads the envelope from stdout, "" points --out at tmp_path itself
+_DEFAULT_CASES = {
+    "steady": ([], None, {"out": None, "format": "json"}),
+    "lines": ([], None, {"out": None, "format": "json"}),
+    "spectrum": ([], "spectrum.csv", {
+        "format": "csv", "omega_min_mev": None, "omega_max_mev": None,
+        "omega_points": 2001, "normalize": False,
+    }),
+    "g2": ([], "g2.csv", {
+        "format": "csv", "tau_points": 200, "tau_min_inv_kappa": 0.001,
+        "tau_max_inv_kappa": 100.0,
+    }),
+    "sweep": (_SMALL_GRID, "sweep.csv", {
+        "format": "csv", "axis1": "tunneling_T:0.001:10:2", "axis2": "zeta:0.001:10:2",
+        "observables": "n_cavity,n_qd1,n_qd2", "parallelism": 1,
+    }),
+    "figures": (["--grid-points", "2", "--zeta-points", "2"], "", {
+        "which": "all", "grid_points": 2, "zeta_points": 2, "parallelism": 1,
+    }),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(_DEFAULT_CASES))
+def test_resolved_defaults_echoed(tmp_path, capsys, subcommand):
+    flags, out_name, specific = _DEFAULT_CASES[subcommand]
+    argv = [subcommand, *flags]
+    expected = {"subcommand": subcommand, **_COMMON_DEFAULTS, **specific}
+    if out_name is not None:
+        out = str(tmp_path / out_name) if out_name else str(tmp_path)
+        argv += ["--out", out]
+        expected["out"] = out
+    code, stdout, _ = _run(capsys, argv)
+    assert code == 0
+    if out_name:
+        payload = json.loads((tmp_path / (out_name + ".meta.json")).read_text())
+    else:
+        payload = json.loads(stdout)
+    config = payload["metadata"]["config"]
+    assert config == expected
+    assert {k: type(v) for k, v in config.items()} == {k: type(v) for k, v in expected.items()}
 
 
 def test_figures_panel_files(tmp_path, capsys):

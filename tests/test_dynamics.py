@@ -161,8 +161,8 @@ def test_spectrum_metadata_and_component_filter(laucht):
     assert spec.omega0 == laucht.omega0
     assert np.allclose(spec.offsets, spec.frequencies - laucht.omega0)
     dim = CompositeBasis(2).dim
-    assert 0 < len(spec.components) < dim * dim  # negligible modes dropped
-    for amp, pole in spec.components:
+    assert 0 < spec.poles.size < dim * dim  # negligible modes dropped
+    for pole in spec.poles:
         assert pole.real <= 1e-12  # stable modes only
 
 

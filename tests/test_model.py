@@ -98,8 +98,8 @@ def test_hamiltonian_elements_and_hermiticity():
     p = preset("laucht-strong", zeta=0.0)
     basis = CompositeBasis(2)
     h = hamiltonian(p, basis)
-    assert h.is_hermitian()
     e = h.entries
+    assert np.array_equal(e, e.conj().T)  # symmetric pairs: exactly Hermitian
     i_1gg = basis.index_of(1, 0, 0)
     i_0xg = basis.index_of(0, 1, 0)
     i_0gx = basis.index_of(0, 0, 1)

@@ -184,7 +184,7 @@ def test_two_bright_lines_flank_a_dark_center(laucht):
     lines = transition_lines(p)
     spec = pl_spectrum(p, default_omega_grid(p), n_max=3)
     areas = np.zeros(3)
-    for amp, pole in spec.components:
+    for amp, pole in zip(spec.amplitudes, spec.poles):
         freq = abs(pole.imag)
         dists = [abs(freq - ln.frequency) for ln in lines]
         k = int(np.argmin(dists))
