@@ -82,6 +82,19 @@ class _Parser(argparse.ArgumentParser):
         raise CliConfigError(message)
 
 
+def _at_least(minimum: int):
+    """argparse type for a count flag: an int no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _add_model_args(p: _Parser):
     p.add_argument("--config", default=None,
                    help="JSON file of flag values, checked like flags; explicit flags win")
@@ -91,7 +104,8 @@ def _add_model_args(p: _Parser):
         flag = "--" + dest.replace("_", "-")
         unit = "K" if dest == "temperature_k" else "meV"
         p.add_argument(flag, type=float, default=None, help=f"override {field} ({unit})")
-    p.add_argument("--n-max", type=int, default=3, help="photon cutoff (default %(default)s)")
+    p.add_argument("--n-max", type=_at_least(1), default=3,
+                   help="photon cutoff (default %(default)s)")
 
 
 def _add_io_args(p: _Parser, default_format: str):
@@ -118,7 +132,7 @@ def _build_parser() -> _Parser:
     _add_io_args(p, "csv")
     p.add_argument("--omega-min-mev", type=float, default=None)
     p.add_argument("--omega-max-mev", type=float, default=None)
-    p.add_argument("--omega-points", type=int, default=2001,
+    p.add_argument("--omega-points", type=_at_least(2), default=2001,
                    help="grid size (default %(default)s)")
     p.add_argument("--normalize", action="store_true",
                    help="scale intensities to unit maximum")
@@ -126,7 +140,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("g2", help="second-order coherence g2(tau)")
     _add_model_args(p)
     _add_io_args(p, "csv")
-    p.add_argument("--tau-points", type=int, default=200)
+    p.add_argument("--tau-points", type=_at_least(2), default=200)
     p.add_argument("--tau-min-inv-kappa", type=float, default=1e-3,
                    help="shortest delay in units of 1/kappa (default %(default)s)")
     p.add_argument("--tau-max-inv-kappa", type=float, default=1e2,
@@ -141,17 +155,19 @@ def _build_parser() -> _Parser:
                    help="name:start:stop:count, log spaced (default %(default)s)")
     p.add_argument("--observables", default="n_cavity,n_qd1,n_qd2",
                    help="comma list from n_cavity,n_qd1,n_qd2,g2_zero,transition_lines")
-    p.add_argument("--parallelism", type=int, default=1, help="worker threads (default 1)")
+    p.add_argument("--parallelism", type=_at_least(1), default=1,
+                   help="worker threads (default 1)")
 
     p = sub.add_parser("figures", help="write plot-ready data files")
     _add_model_args(p)
     p.add_argument("--out", default=None, help="output directory (required)")
     p.add_argument("--which", choices=("1", "2", "3", "all"), default="all")
-    p.add_argument("--grid-points", type=int, default=40,
+    p.add_argument("--grid-points", type=_at_least(2), default=40,
                    help="points per sweep axis (default %(default)s)")
-    p.add_argument("--zeta-points", type=int, default=40,
+    p.add_argument("--zeta-points", type=_at_least(1), default=40,
                    help="zeta values per spectra panel (default %(default)s)")
-    p.add_argument("--parallelism", type=int, default=1, help="worker threads (default 1)")
+    p.add_argument("--parallelism", type=_at_least(1), default=1,
+                   help="worker threads (default 1)")
     return parser
 
 
@@ -215,10 +231,7 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
     overrides = {
         field: options[dest] for dest, field in _PARAM_DESTS.items() if options[dest] is not None
     }
-    try:
-        params = preset(options["preset"], **overrides)
-    except ValueError as exc:
-        raise CliConfigError(str(exc)) from exc
+    params = preset(options["preset"], **overrides)
     return RunConfig(subcommand=ns.subcommand, params=params, options=options)
 
 
@@ -292,8 +305,6 @@ def _spectrum_grid(cfg: RunConfig) -> np.ndarray:
     lo = cfg.options["omega_min_mev"]
     hi = cfg.options["omega_max_mev"]
     points = cfg.options["omega_points"]
-    if points < 2:
-        raise CliConfigError(f"omega_points must be >= 2, got {points}")
     if (lo is None) != (hi is None):
         raise CliConfigError("omega-min-mev and omega-max-mev must be given together")
     if lo is None:
@@ -329,14 +340,11 @@ def _cmd_g2(cfg: RunConfig) -> int:
     kappa = cfg.params.kappa
     if kappa <= 0.0:
         raise CliConfigError("g2 delay grid needs kappa > 0")
-    points = cfg.options["tau_points"]
     lo = cfg.options["tau_min_inv_kappa"]
     hi = cfg.options["tau_max_inv_kappa"]
-    if points < 2 or lo <= 0.0 or hi <= lo:
-        raise CliConfigError(
-            "need tau_points >= 2 and 0 < tau-min-inv-kappa < tau-max-inv-kappa"
-        )
-    taus = np.geomspace(lo / kappa, hi / kappa, points)
+    if not 0.0 < lo < hi:
+        raise CliConfigError("need 0 < tau-min-inv-kappa < tau-max-inv-kappa")
+    taus = np.geomspace(lo / kappa, hi / kappa, cfg.options["tau_points"])
     pairs = g2(cfg.params, taus, n_max=cfg.options["n_max"])
     header = ["tau_hbar_per_mev", "tau_kappa", "g2"]
     data = [dict(zip(header, (t, t * kappa, v))) for t, v in pairs]
@@ -366,16 +374,13 @@ def _cmd_sweep(cfg: RunConfig) -> int:
             "observable 'spectrum' is not representable in a flat sweep table; "
             "use the figures command"
         )
-    try:
-        spec = SweepSpec(
-            params=cfg.params,
-            axis1=axis1,
-            axis2=axis2,
-            observables=observables,
-            n_max=cfg.options["n_max"],
-        )
-    except ValueError as exc:
-        raise CliConfigError(str(exc)) from exc
+    spec = SweepSpec(
+        params=cfg.params,
+        axis1=axis1,
+        axis2=axis2,
+        observables=observables,
+        n_max=cfg.options["n_max"],
+    )
     result = run_sweep(spec, parallelism=cfg.options["parallelism"])
     data = {
         "columns": list(result.columns),
@@ -396,61 +401,49 @@ def _cmd_figures(cfg: RunConfig) -> int:
     os.makedirs(outdir, exist_ok=True)
     which = cfg.options["which"]
     n_grid = cfg.options["grid_points"]
-    n_zeta = cfg.options["zeta_points"]
     parallelism = cfg.options["parallelism"]
     n_max = cfg.options["n_max"]
     written: list[str] = []
 
-    def emit_sweep(name: str, result) -> None:
-        path = os.path.join(outdir, name)
-        _write(path, result.to_csv())
-        _write_sidecar(cfg, path, {"sweep": result.metadata})
-        written.append(name)
-        written.append(name + ".meta.json")
-
-    if which in ("1", "all"):
+    def emit_sweep(name: str, params: ModelParams, observables: tuple, n_max: int) -> None:
+        """Run a tunneling x zeta map and write it with a sidecar naming its own params."""
         spec = SweepSpec(
-            params=cfg.params,
+            params=params,
             axis1=SweepAxis("tunneling_T", 1e-3, 10.0, n_grid),
             axis2=SweepAxis("zeta", 1e-3, 10.0, n_grid),
-            observables=("n_cavity", "n_qd1", "n_qd2"),
+            observables=observables,
             n_max=n_max,
         )
-        emit_sweep("fig1_populations.csv", run_sweep(spec, parallelism=parallelism))
+        result = run_sweep(spec, parallelism=parallelism)
+        path = os.path.join(outdir, name)
+        _write(path, result.to_csv())
+        _write_sidecar(dataclasses.replace(cfg, params=params), path,
+                       {"sweep": result.metadata})
+        written.extend([name, name + ".meta.json"])
+
+    if which in ("1", "all"):
+        emit_sweep("fig1_populations.csv", cfg.params, ("n_cavity", "n_qd1", "n_qd2"), n_max)
 
     if which in ("2", "all"):
-        zetas = np.geomspace(1e-3, 10.0, n_zeta)
+        zetas = np.geomspace(1e-3, 10.0, cfg.options["zeta_points"])
         panels = run_spectra_panel(
             cfg.params, _FIG2_TUNNELING, zetas, n_max=n_max, parallelism=parallelism
         )
         for panel in panels:
             tag = _figure_tag(panel.tunneling)
-            spectra_name = f"fig2_spectra_T{tag}.csv"
-            lines_name = f"fig2_lines_T{tag}.csv"
-            _write(os.path.join(outdir, spectra_name), panel_spectra_csv(panel))
-            _write(os.path.join(outdir, lines_name), panel_lines_csv(panel))
-            written += [spectra_name, lines_name]
-            bad = [
-                (float(z), status)
-                for z, status in zip(panel.zetas, panel.statuses)
-                if status != "ok"
-            ]
-            for z, status in bad:
-                print(
-                    f"warning: panel T={panel.tunneling:g} zeta={z:g} failed: {status}",
-                    file=sys.stderr,
-                )
+            for name, text in ((f"fig2_spectra_T{tag}.csv", panel_spectra_csv(panel)),
+                               (f"fig2_lines_T{tag}.csv", panel_lines_csv(panel))):
+                _write(os.path.join(outdir, name), text)
+                written.append(name)
+            for z, status in zip(panel.zetas, panel.statuses):
+                if status != "ok":
+                    print(f"warning: panel T={panel.tunneling:g} zeta={z:g} failed: {status}",
+                          file=sys.stderr)
 
     if which in ("3", "all"):
-        axis1 = SweepAxis("tunneling_T", 1e-3, 10.0, n_grid)
-        axis2 = SweepAxis("zeta", 1e-3, 10.0, n_grid)
-        left = SweepSpec(params=cfg.params, axis1=axis1, axis2=axis2,
-                         observables=("g2_zero",), n_max=n_max)
-        emit_sweep("fig3_left_g2.csv", run_sweep(left, parallelism=parallelism))
+        emit_sweep("fig3_left_g2.csv", cfg.params, ("g2_zero",), n_max)
         # stronger pumping needs more photon headroom than the default cutoff
-        right = SweepSpec(params=preset("fig3-right"), axis1=axis1, axis2=axis2,
-                          observables=("g2_zero",), n_max=max(5, n_max))
-        emit_sweep("fig3_right_g2.csv", run_sweep(right, parallelism=parallelism))
+        emit_sweep("fig3_right_g2.csv", preset("fig3-right"), ("g2_zero",), max(5, n_max))
 
     text = json.dumps(
         _envelope("figures", cfg, {"directory": outdir, "files": written}),
@@ -475,10 +468,6 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         cfg = _resolve(_parse(argv))
-    except CliConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return _COMMANDS[cfg.subcommand](cfg)
     except (CliConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

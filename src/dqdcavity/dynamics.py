@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BasisMismatchError, DiagonalizationError, UndefinedObservableError
-from .hilbert import CompositeBasis, OperatorMatrix, annihilation
+from .hilbert import CompositeBasis, OperatorMatrix, annihilation, frozen_array
 from .liouvillian import SuperoperatorMatrix, build_liouvillian, vec
 from .model import ModelParams
 from .steadystate import DensityMatrix, expectation, steady_state
@@ -71,14 +71,10 @@ class CorrelationResult:
     used_expm_fallback: bool = False
 
     def __post_init__(self):
-        taus = np.asarray(self.taus, dtype=float).copy()
-        values = np.asarray(self.values, dtype=complex).copy()
-        if taus.shape != values.shape:
+        object.__setattr__(self, "taus", frozen_array(self.taus, float))
+        object.__setattr__(self, "values", frozen_array(self.values, complex))
+        if self.taus.shape != self.values.shape:
             raise ValueError("taus and values must have identical shapes")
-        taus.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -101,13 +97,9 @@ class SpectrumResult:
 
     def __post_init__(self):
         for name in ("frequencies", "offsets", "intensities"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_array(getattr(self, name), float))
         for name in ("amplitudes", "poles"):
-            arr = np.asarray(getattr(self, name), dtype=complex).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_array(getattr(self, name), complex))
         if self.amplitudes.shape != self.poles.shape:
             raise ValueError("amplitudes and poles must have identical shapes")
 

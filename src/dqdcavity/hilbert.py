@@ -17,6 +17,13 @@ G = 0
 X = 1
 
 
+def frozen_array(value, dtype) -> np.ndarray:
+    """A read-only C-ordered copy of value as an array of dtype."""
+    arr = np.array(value, dtype=dtype, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class CompositeBasis:
     """Truncated Fock space (0..n_max photons) tensored with two dot qubits.
@@ -56,13 +63,11 @@ class OperatorMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
+        arr = frozen_array(self.entries, complex)
         if arr.shape != (self.basis.dim, self.basis.dim):
             raise ValueError(
                 f"entries shape {arr.shape} does not match basis dim {self.basis.dim}"
             )
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     def dag(self) -> "OperatorMatrix":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import G, X, CompositeBasis
+from .hilbert import G, X, CompositeBasis, frozen_array
 from .liouvillian import build_liouvillian, effective_hamiltonian
 from .model import ModelParams, phat_rates
 
@@ -139,9 +139,7 @@ class ExceptionalPointScan:
 
     def __post_init__(self):
         for name in ("zetas", "min_gaps", "width_gaps"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_array(getattr(self, name), float))
 
 
 def exceptional_point_scan(params: ModelParams, zeta_values=None) -> ExceptionalPointScan:

@@ -170,16 +170,9 @@ def phat_rates(params: ModelParams) -> PhatRates:
     delta = omega2 - omega1. zeta = 0 switches both channels off.
     """
     delta = params.omega2 - params.omega1
-    if params.zeta == 0.0:
-        n_th = thermal_occupation(abs(delta), params.temperature) if delta != 0.0 else 0.0
-        return PhatRates(0.0, 0.0, n_th, delta)
-    n_th = thermal_occupation(abs(delta), params.temperature)
-    if delta > 0:
-        gamma_t = (n_th + 1.0) * params.zeta
-        p_t = n_th * params.zeta
-    else:
-        gamma_t = n_th * params.zeta
-        p_t = (n_th + 1.0) * params.zeta
+    n_th = thermal_occupation(abs(delta), params.temperature) if delta != 0.0 else 0.0
+    downhill, uphill = (n_th + 1.0) * params.zeta, n_th * params.zeta
+    gamma_t, p_t = (downhill, uphill) if delta > 0 else (uphill, downhill)
     return PhatRates(gamma_t, p_t, n_th, delta)
 
 

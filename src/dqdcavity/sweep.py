@@ -19,7 +19,7 @@ import numpy as np
 
 from ._version import __version__
 from .dynamics import SpectrumResult, g2_zero_from_state, pl_spectrum
-from .hilbert import CompositeBasis
+from .hilbert import CompositeBasis, frozen_array
 # bound here only because perfbench/tracing.py patches them under these names
 from .hilbert import annihilation, qubit_lowering  # noqa: F401
 from .liouvillian import build_liouvillian
@@ -204,9 +204,7 @@ class SpectraPanel:
     lines: tuple[tuple[TransitionLine, ...] | None, ...]
 
     def __post_init__(self):
-        z = np.asarray(self.zetas, dtype=float).copy()
-        z.setflags(write=False)
-        object.__setattr__(self, "zetas", z)
+        object.__setattr__(self, "zetas", frozen_array(self.zetas, float))
 
 
 def run_spectra_panel(

@@ -65,6 +65,9 @@ CASES = {
                      {"preset": "laucht-strong", "zeta_mev": 0.2, "n_max": 1,
                       "format": "csv"}),
     "config_bad_format": (["steady", "--config", "{d}/run.json"], {"format": "xml"}),
+    "config_range_error": (["spectrum", "--config", "{d}/run.json"], {"omega_points": 1}),
+    "figures_zeta_points_zero": (["figures", "--which", "2", "--zeta-points", "0",
+                                  "--out", "{d}/fig"], None),
 }
 
 _TIMESTAMP = re.compile(r'("timestamp": )"[^"]*"')

@@ -203,6 +203,11 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
         ("spectrum", {"omega_points": "11x"}),
         ("steady", {"format": "xml"}),
         ("figures", {"which": "5"}),
+        ("spectrum", {"omega_points": 1}),
+        ("g2", {"tau_points": 1}),
+        ("figures", {"grid_points": 1}),
+        ("sweep", {"parallelism": 0}),
+        ("steady", {"n_max": 0}),
     ],
 )
 def test_config_file_values_checked_like_flags(tmp_path, capsys, subcommand, config):
@@ -299,6 +304,18 @@ def test_figures_grid_files(tmp_path, capsys):
     assert {"n_cavity", "n_qd1", "n_qd2"} <= set(rows[0])
     meta = json.loads((tmp_path / "fig1_populations.csv.meta.json").read_text())
     _validate(meta)
+
+
+def test_figure_sidecars_name_the_params_of_their_table(tmp_path, capsys):
+    code, _, _ = _run(capsys, [
+        "figures", "--preset", "laucht-strong", "--which", "3",
+        "--out", str(tmp_path), "--grid-points", "2", "--n-max", "1",
+    ])
+    assert code == 0
+    right = json.loads((tmp_path / "fig3_right_g2.csv.meta.json").read_text())["metadata"]
+    assert right["params"] == preset("fig3-right").as_dict() == right["sweep"]["params"]
+    left = json.loads((tmp_path / "fig3_left_g2.csv.meta.json").read_text())["metadata"]
+    assert left["params"] == preset("laucht-strong").as_dict()
 
 
 def test_figures_requires_out(capsys):

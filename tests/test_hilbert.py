@@ -6,7 +6,11 @@ from dqdcavity import (
     X,
     BasisMismatchError,
     CompositeBasis,
+    CorrelationResult,
+    ExceptionalPointScan,
     OperatorMatrix,
+    SpectraPanel,
+    SpectrumResult,
     annihilation,
     qubit_lowering,
 )
@@ -93,6 +97,41 @@ def test_operator_matrix_is_frozen_and_basis_checked():
         op @ annihilation(other)
     with pytest.raises(ValueError):
         OperatorMatrix(basis, np.zeros((3, 3)))
+
+
+# record type -> (build it from keyword arrays, {array field: writable input})
+_ARRAY_RECORDS = {
+    "CorrelationResult": (CorrelationResult, {
+        "taus": np.array([0.0, 1.0]), "values": np.array([1.0 + 0.5j, 0.25j]),
+    }),
+    "SpectrumResult": (lambda **a: SpectrumResult(**a, kappa=0.1, omega0=1.0), {
+        "frequencies": np.array([0.9, 1.1]), "offsets": np.array([-0.1, 0.1]),
+        "intensities": np.array([0.5, 0.7]), "amplitudes": np.array([1.0 + 1.0j]),
+        "poles": np.array([-0.1 + 0.2j]),
+    }),
+    "SpectraPanel": (lambda **a: SpectraPanel(0.01, **a, statuses=("ok", "ok"),
+                                              spectra=(None, None), lines=(None, None)), {
+        "zetas": np.array([0.1, 1.0]),
+    }),
+    "ExceptionalPointScan": (lambda **a: ExceptionalPointScan(
+        **a, zeta_star=0.1, min_gap=0.2, width_gap_at_star=0.3), {
+        "zetas": np.array([0.1, 1.0]), "min_gaps": np.array([0.2, 0.4]),
+        "width_gaps": np.array([0.3, 0.5]),
+    }),
+}
+
+
+@pytest.mark.parametrize("kind", list(_ARRAY_RECORDS))
+def test_record_arrays_are_frozen_copies(kind):
+    build, arrays = _ARRAY_RECORDS[kind]
+    record = build(**arrays)
+    for name, source in arrays.items():
+        stored = getattr(record, name)
+        kept = stored.copy()
+        with pytest.raises(ValueError):
+            stored[0] = 7.0
+        source[0] = 9.0
+        assert np.array_equal(getattr(record, name), kept)
 
 
 def test_qubit_lowering_requires_valid_dot():
