@@ -14,7 +14,6 @@ numerical failure (failing parameter point printed).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import json
 import os
@@ -95,6 +94,17 @@ def _at_least(minimum: int):
     return parse
 
 
+def _finite(text: str) -> float:
+    """argparse type for a grid bound: a finite float."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+_finite.__name__ = "float"  # argparse names the type in "invalid float value"
+
+
 def _add_model_args(p: _Parser):
     p.add_argument("--config", default=None,
                    help="JSON file of flag values, checked like flags; explicit flags win")
@@ -130,8 +140,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("spectrum", help="cavity emission spectrum")
     _add_model_args(p)
     _add_io_args(p, "csv")
-    p.add_argument("--omega-min-mev", type=float, default=None)
-    p.add_argument("--omega-max-mev", type=float, default=None)
+    p.add_argument("--omega-min-mev", type=_finite, default=None)
+    p.add_argument("--omega-max-mev", type=_finite, default=None)
     p.add_argument("--omega-points", type=_at_least(2), default=2001,
                    help="grid size (default %(default)s)")
     p.add_argument("--normalize", action="store_true",
@@ -141,9 +151,9 @@ def _build_parser() -> _Parser:
     _add_model_args(p)
     _add_io_args(p, "csv")
     p.add_argument("--tau-points", type=_at_least(2), default=200)
-    p.add_argument("--tau-min-inv-kappa", type=float, default=1e-3,
+    p.add_argument("--tau-min-inv-kappa", type=_finite, default=1e-3,
                    help="shortest delay in units of 1/kappa (default %(default)s)")
-    p.add_argument("--tau-max-inv-kappa", type=float, default=1e2,
+    p.add_argument("--tau-max-inv-kappa", type=_finite, default=1e2,
                    help="longest delay in units of 1/kappa (default %(default)s)")
 
     p = sub.add_parser("sweep", help="two-axis log grid sweep")
@@ -169,15 +179,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--parallelism", type=_at_least(1), default=1,
                    help="worker threads (default 1)")
     return parser
-
-
-@dataclasses.dataclass
-class RunConfig:
-    """Fully resolved run: every flag's value, parameters validated."""
-
-    subcommand: str
-    params: ModelParams
-    options: dict
 
 
 def _config_flags(path: str, ns: argparse.Namespace) -> list[str]:
@@ -226,27 +227,19 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args([argv[0], *flags, *argv[1:]])
 
 
-def _resolve(ns: argparse.Namespace) -> RunConfig:
-    options = vars(ns)
-    overrides = {
-        field: options[dest] for dest, field in _PARAM_DESTS.items() if options[dest] is not None
-    }
-    params = preset(options["preset"], **overrides)
-    return RunConfig(subcommand=ns.subcommand, params=params, options=options)
-
-
-def _envelope(kind: str, cfg: RunConfig, data, extra_metadata: dict | None = None) -> dict:
+def _envelope(ns: argparse.Namespace, params: ModelParams, data,
+              extra_metadata: dict | None = None) -> dict:
     metadata = {
         "package_version": __version__,
-        "config": {k: v for k, v in cfg.options.items() if k != "config"},
-        "params": cfg.params.as_dict(),
+        "config": {k: v for k, v in vars(ns).items() if k != "config"},
+        "params": params.as_dict(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     if extra_metadata:
         metadata.update(extra_metadata)
     return {
         "schema_version": SCHEMA_VERSION,
-        "kind": kind,
+        "kind": ns.subcommand,
         "metadata": metadata,
         "data": data,
     }
@@ -257,68 +250,67 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_sidecar(cfg: RunConfig, path: str, extra_metadata: dict | None = None) -> None:
+def _write_sidecar(ns: argparse.Namespace, params: ModelParams, path: str,
+                   extra_metadata: dict | None = None) -> None:
     """Run metadata for the CSV at path, written to path + '.meta.json'."""
-    sidecar = _envelope(cfg.subcommand, cfg, {"file": os.path.basename(path)}, extra_metadata)
+    sidecar = _envelope(ns, params, {"file": os.path.basename(path)}, extra_metadata)
     _write(path + ".meta.json", json.dumps(sidecar, indent=2, sort_keys=True))
 
 
-def _emit(cfg: RunConfig, data, csv_text, extra_metadata: dict | None = None) -> None:
+def _emit(ns: argparse.Namespace, params: ModelParams, data, csv_text,
+          extra_metadata: dict | None = None) -> None:
     """Write data in a JSON envelope, or the CSV that csv_text() returns, to stdout or --out.
 
     A CSV written to --out gets a .meta.json sidecar.
     """
-    csv_format = cfg.options["format"] == "csv"
+    csv_format = ns.format == "csv"
     if csv_format:
         text = csv_text()
     else:
-        envelope = _envelope(cfg.subcommand, cfg, data, extra_metadata)
+        envelope = _envelope(ns, params, data, extra_metadata)
         text = json.dumps(envelope, indent=2, sort_keys=True)
-    out = cfg.options["out"]
-    if out is None:
+    if ns.out is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        _write(out, text)
+        _write(ns.out, text)
         if csv_format:
-            _write_sidecar(cfg, out, extra_metadata)
+            _write_sidecar(ns, params, ns.out, extra_metadata)
 
 
-def _cmd_steady(cfg: RunConfig) -> int:
-    values = steady_observables(cfg.params, n_max=cfg.options["n_max"])
-    _emit(cfg, values, lambda: csv_table(list(values), [list(values.values())]))
+def _cmd_steady(ns: argparse.Namespace, params: ModelParams) -> int:
+    values = steady_observables(params, n_max=ns.n_max)
+    _emit(ns, params, values, lambda: csv_table(list(values), [list(values.values())]))
     return 0
 
 
-def _cmd_lines(cfg: RunConfig) -> int:
+def _cmd_lines(ns: argparse.Namespace, params: ModelParams) -> int:
     header = ["line_index", "frequency_mev", "offset_mev", "hwhm_mev"]
     records = [
         dict(zip(header, (k, line.frequency, line.offset, line.hwhm)))
-        for k, line in enumerate(transition_lines(cfg.params), start=1)
+        for k, line in enumerate(transition_lines(params), start=1)
     ]
-    _emit(cfg, records, lambda: csv_table(header, [list(r.values()) for r in records]))
+    _emit(ns, params, records, lambda: csv_table(header, [list(r.values()) for r in records]))
     return 0
 
 
-def _spectrum_grid(cfg: RunConfig) -> np.ndarray:
-    lo = cfg.options["omega_min_mev"]
-    hi = cfg.options["omega_max_mev"]
-    points = cfg.options["omega_points"]
+def _spectrum_grid(ns: argparse.Namespace, params: ModelParams) -> np.ndarray:
+    lo, hi = ns.omega_min_mev, ns.omega_max_mev
     if (lo is None) != (hi is None):
         raise CliConfigError("omega-min-mev and omega-max-mev must be given together")
     if lo is None:
-        return default_omega_grid(cfg.params, points=points)
+        return default_omega_grid(params, points=ns.omega_points)
     if not hi > lo:
         raise CliConfigError(f"omega-max-mev ({hi}) must exceed omega-min-mev ({lo})")
-    return np.linspace(lo, hi, points)
+    return np.linspace(lo, hi, ns.omega_points)
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
-    grid = _spectrum_grid(cfg)
-    result = pl_spectrum(cfg.params, grid, n_max=cfg.options["n_max"])
+def _cmd_spectrum(ns: argparse.Namespace, params: ModelParams) -> int:
+    grid = _spectrum_grid(ns, params)
+    result = pl_spectrum(params, grid, n_max=ns.n_max)
     intensities = result.intensities
-    if cfg.options["normalize"]:
+    if ns.normalize:
         top = intensities.max()
         if top > 0.0:
             intensities = intensities / top
@@ -329,26 +321,25 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
         "poles": [{"re": p.real, "im": p.imag} for p in result.poles],
         "amplitudes": [{"re": a.real, "im": a.imag} for a in result.amplitudes],
     }
-    _emit(cfg, data, lambda: csv_table(
+    _emit(ns, params, data, lambda: csv_table(
         ["omega_mev", "offset_mev", "intensity"],
         zip(data["omega_mev"], data["offset_mev"], data["intensity"]),
     ))
     return 0
 
 
-def _cmd_g2(cfg: RunConfig) -> int:
-    kappa = cfg.params.kappa
+def _cmd_g2(ns: argparse.Namespace, params: ModelParams) -> int:
+    kappa = params.kappa
     if kappa <= 0.0:
         raise CliConfigError("g2 delay grid needs kappa > 0")
-    lo = cfg.options["tau_min_inv_kappa"]
-    hi = cfg.options["tau_max_inv_kappa"]
+    lo, hi = ns.tau_min_inv_kappa, ns.tau_max_inv_kappa
     if not 0.0 < lo < hi:
         raise CliConfigError("need 0 < tau-min-inv-kappa < tau-max-inv-kappa")
-    taus = np.geomspace(lo / kappa, hi / kappa, cfg.options["tau_points"])
-    pairs = g2(cfg.params, taus, n_max=cfg.options["n_max"])
+    taus = np.geomspace(lo / kappa, hi / kappa, ns.tau_points)
+    pairs = g2(params, taus, n_max=ns.n_max)
     header = ["tau_hbar_per_mev", "tau_kappa", "g2"]
     data = [dict(zip(header, (t, t * kappa, v))) for t, v in pairs]
-    _emit(cfg, data, lambda: csv_table(header, [list(r.values()) for r in data]))
+    _emit(ns, params, data, lambda: csv_table(header, [list(r.values()) for r in data]))
     return 0
 
 
@@ -365,28 +356,28 @@ def _parse_axis(text: str, which: str) -> SweepAxis:
         raise CliConfigError(f"{which}: {exc}") from exc
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
-    axis1 = _parse_axis(cfg.options["axis1"], "axis1")
-    axis2 = _parse_axis(cfg.options["axis2"], "axis2")
-    observables = tuple(s.strip() for s in cfg.options["observables"].split(",") if s.strip())
+def _cmd_sweep(ns: argparse.Namespace, params: ModelParams) -> int:
+    axis1 = _parse_axis(ns.axis1, "axis1")
+    axis2 = _parse_axis(ns.axis2, "axis2")
+    observables = tuple(s.strip() for s in ns.observables.split(",") if s.strip())
     if "spectrum" in observables:
         raise CliConfigError(
             "observable 'spectrum' is not representable in a flat sweep table; "
             "use the figures command"
         )
     spec = SweepSpec(
-        params=cfg.params,
+        params=params,
         axis1=axis1,
         axis2=axis2,
         observables=observables,
-        n_max=cfg.options["n_max"],
+        n_max=ns.n_max,
     )
-    result = run_sweep(spec, parallelism=cfg.options["parallelism"])
+    result = run_sweep(spec, parallelism=ns.parallelism)
     data = {
         "columns": list(result.columns),
         "rows": [[row[c] for c in result.columns] for row in result.rows],
     }
-    _emit(cfg, data, result.to_csv, {"sweep": result.metadata})
+    _emit(ns, params, data, result.to_csv, {"sweep": result.metadata})
     return 0
 
 
@@ -394,40 +385,35 @@ def _figure_tag(value: float) -> str:
     return format(value, "g").replace(".", "p")
 
 
-def _cmd_figures(cfg: RunConfig) -> int:
-    outdir = cfg.options["out"]
+def _cmd_figures(ns: argparse.Namespace, params: ModelParams) -> int:
+    outdir = ns.out
     if not outdir:
         raise CliConfigError("figures requires --out pointing at an output directory")
     os.makedirs(outdir, exist_ok=True)
-    which = cfg.options["which"]
-    n_grid = cfg.options["grid_points"]
-    parallelism = cfg.options["parallelism"]
-    n_max = cfg.options["n_max"]
     written: list[str] = []
 
-    def emit_sweep(name: str, params: ModelParams, observables: tuple, n_max: int) -> None:
+    def emit_sweep(name: str, table_params: ModelParams, observables: tuple, n_max: int) -> None:
         """Run a tunneling x zeta map and write it with a sidecar naming its own params."""
         spec = SweepSpec(
-            params=params,
-            axis1=SweepAxis("tunneling_T", 1e-3, 10.0, n_grid),
-            axis2=SweepAxis("zeta", 1e-3, 10.0, n_grid),
+            params=table_params,
+            axis1=SweepAxis("tunneling_T", 1e-3, 10.0, ns.grid_points),
+            axis2=SweepAxis("zeta", 1e-3, 10.0, ns.grid_points),
             observables=observables,
             n_max=n_max,
         )
-        result = run_sweep(spec, parallelism=parallelism)
+        result = run_sweep(spec, parallelism=ns.parallelism)
         path = os.path.join(outdir, name)
         _write(path, result.to_csv())
-        _write_sidecar(dataclasses.replace(cfg, params=params), path,
-                       {"sweep": result.metadata})
+        _write_sidecar(ns, table_params, path, {"sweep": result.metadata})
         written.extend([name, name + ".meta.json"])
 
-    if which in ("1", "all"):
-        emit_sweep("fig1_populations.csv", cfg.params, ("n_cavity", "n_qd1", "n_qd2"), n_max)
+    if ns.which in ("1", "all"):
+        emit_sweep("fig1_populations.csv", params, ("n_cavity", "n_qd1", "n_qd2"), ns.n_max)
 
-    if which in ("2", "all"):
-        zetas = np.geomspace(1e-3, 10.0, cfg.options["zeta_points"])
+    if ns.which in ("2", "all"):
+        zetas = np.geomspace(1e-3, 10.0, ns.zeta_points)
         panels = run_spectra_panel(
-            cfg.params, _FIG2_TUNNELING, zetas, n_max=n_max, parallelism=parallelism
+            params, _FIG2_TUNNELING, zetas, n_max=ns.n_max, parallelism=ns.parallelism
         )
         for panel in panels:
             tag = _figure_tag(panel.tunneling)
@@ -440,13 +426,13 @@ def _cmd_figures(cfg: RunConfig) -> int:
                     print(f"warning: panel T={panel.tunneling:g} zeta={z:g} failed: {status}",
                           file=sys.stderr)
 
-    if which in ("3", "all"):
-        emit_sweep("fig3_left_g2.csv", cfg.params, ("g2_zero",), n_max)
+    if ns.which in ("3", "all"):
+        emit_sweep("fig3_left_g2.csv", params, ("g2_zero",), ns.n_max)
         # stronger pumping needs more photon headroom than the default cutoff
-        emit_sweep("fig3_right_g2.csv", preset("fig3-right"), ("g2_zero",), max(5, n_max))
+        emit_sweep("fig3_right_g2.csv", preset("fig3-right"), ("g2_zero",), max(5, ns.n_max))
 
     text = json.dumps(
-        _envelope("figures", cfg, {"directory": outdir, "files": written}),
+        _envelope(ns, params, {"directory": outdir, "files": written}),
         indent=2,
         sort_keys=True,
     )
@@ -466,16 +452,22 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    ns = None
     try:
-        cfg = _resolve(_parse(argv))
-        return _COMMANDS[cfg.subcommand](cfg)
+        ns = _parse(argv)
+        overrides = {field: getattr(ns, dest) for dest, field in _PARAM_DESTS.items()}
+        params = preset(ns.preset, **{k: v for k, v in overrides.items() if v is not None})
+        return _COMMANDS[ns.subcommand](ns, params)
     except (CliConfigError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        # _parse names the config file in its own errors; later checks see merged flags
+        path = getattr(ns, "config", None)
+        merged = f" (flags merged from config file {path!r})" if path else ""
+        print(f"configuration error: {exc}{merged}", file=sys.stderr)
         return 1
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         print(
-            "at parameter point: " + json.dumps(cfg.params.as_dict(), sort_keys=True),
+            "at parameter point: " + json.dumps(params.as_dict(), sort_keys=True),
             file=sys.stderr,
         )
         return 2

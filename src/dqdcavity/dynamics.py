@@ -148,15 +148,10 @@ def _propagate_expm(
     order = np.argsort(taus, kind="stable")
     x = seed.astype(complex)
     reached = 0.0
-    cache: dict[float, np.ndarray] = {}
     for i in order:
         dt = float(taus[i]) - reached
         if dt > 0.0:
-            prop = cache.get(dt)
-            if prop is None:
-                prop = scipy.linalg.expm(l_entries * dt)
-                cache[dt] = prop
-            x = prop @ x
+            x = scipy.linalg.expm(l_entries * dt) @ x
             reached = float(taus[i])
         values[i] = obs_row @ x
     return values
@@ -234,8 +229,6 @@ def pl_spectrum(
     weights, lams = _mode_weights(lio.entries, seed, obs_row)
     top = float(np.abs(weights).max(initial=0.0))
     keep = np.abs(weights) > _AMPLITUDE_CUTOFF * top
-    if not keep.any():
-        keep = np.abs(weights) == top
     weights, lams = weights[keep], lams[keep]
     intensities = (params.kappa / np.pi) * lorentzian_sum(omega_grid, weights, lams)
     return SpectrumResult(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatchError
 from .hilbert import CompositeBasis
 from .model import ModelParams, hamiltonian, jump_operators
 
@@ -70,8 +69,6 @@ def effective_hamiltonian(
     k = -1j * hamiltonian(params, basis).entries
     channels = []
     for rate, op in jump_operators(params, basis):
-        if op.basis != basis:
-            raise BasisMismatchError("jump operator basis does not match")
         o = op.entries
         k -= 0.5 * rate * (o.conj().T @ o)
         channels.append((rate * o.conj(), o))

@@ -30,6 +30,8 @@ _GRID = ["--axis1", "tunneling_T:0.001:10:6", "--axis2", "zeta:0.001:10:6"]
 _ALL_SCALARS = "n_cavity,n_qd1,n_qd2,g2_zero,transition_lines"
 # omega2 == omega1 is valid only at zeta 0, so every point that sets zeta > 0 fails
 _DEGENERATE = ["--omega2-mev", "1218.0", "--zeta-mev", "0"]
+# no gain channel, so the steady state is the empty vacuum and nothing is emitted
+_DARK = ["--pump1-mev", "0", "--pump2-mev", "0", "--cavity-pump-mev", "0"]
 
 # case name -> (argv with {d} for the case directory, config file contents or None)
 CASES = {
@@ -68,6 +70,14 @@ CASES = {
     "config_range_error": (["spectrum", "--config", "{d}/run.json"], {"omega_points": 1}),
     "figures_zeta_points_zero": (["figures", "--which", "2", "--zeta-points", "0",
                                   "--out", "{d}/fig"], None),
+    "spectrum_range_csv": (["spectrum", *_SMALL, "--omega-min-mev", "1217.25",
+                            "--omega-max-mev", "1218.75", "--omega-points", "61",
+                            "--out", "{d}/spectrum.csv"], None),
+    "spectrum_dark_json": (["spectrum", *_SMALL, *_DARK, "--omega-points", "11",
+                            "--format", "json"], None),
+    "g2_tau_max_inf": (["g2", *_SMALL, "--tau-points", "5", "--tau-max-inv-kappa", "inf",
+                        "--out", "{d}/g2.csv"], None),
+    "config_model_error": (["steady", "--config", "{d}/run.json"], {"kappa_mev": -1}),
 }
 
 _TIMESTAMP = re.compile(r'("timestamp": )"[^"]*"')

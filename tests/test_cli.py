@@ -170,12 +170,38 @@ def test_degenerate_model_exits_two(capsys):
     assert "at parameter point" in err
 
 
-def test_invalid_parameter_exits_one(capsys):
-    code, _, err = _run(capsys, [
-        "steady", "--preset", "laucht-strong", "--kappa-mev", "-1",
-    ])
+@pytest.mark.parametrize(
+    ("argv", "named"),
+    [
+        (["steady", "--preset", "laucht-strong", "--kappa-mev", "-1"], "kappa"),
+        (["g2", "--tau-max-inv-kappa", "inf"], "--tau-max-inv-kappa"),
+        (["spectrum", "--omega-min-mev=-inf", "--omega-max-mev", "inf"], "--omega-min-mev"),
+        (["spectrum", "--omega-min-mev", "1217"], "omega-max-mev"),
+        (["spectrum", "--omega-max-mev", "1219"], "omega-min-mev"),
+        (["spectrum", "--omega-min-mev", "1219", "--omega-max-mev", "1217"], "must exceed"),
+        (["g2", "--kappa-mev", "0"], "kappa > 0"),
+        (["g2", "--tau-min-inv-kappa", "10", "--tau-max-inv-kappa", "1"], "tau-min-inv-kappa"),
+    ],
+    ids=["kappa", "tau-max-inf", "omega-min-inf", "omega-min-only", "omega-max-only",
+         "omega-reversed", "g2-kappa-zero", "tau-reversed"],
+)
+def test_invalid_parameter_exits_one(tmp_path, capsys, argv, named):
+    code, out, err = _run(capsys, [*argv, "--out", str(tmp_path / "o")])
     assert code == 1
-    assert "kappa" in err
+    assert named in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_spectrum_range_sets_grid_ends(capsys):
+    code, out, _ = _run(capsys, [
+        "spectrum", "--n-max", "1", "--omega-min-mev", "1217.5",
+        "--omega-max-mev", "1218.5", "--omega-points", "11",
+    ])
+    assert code == 0
+    omegas = [float(r["omega_mev"]) for r in csv.DictReader(io.StringIO(out))]
+    assert len(omegas) == 11
+    assert (omegas[0], omegas[-1]) == (1217.5, 1218.5)
 
 
 def test_config_file_merge_and_flag_priority(tmp_path, capsys):
@@ -208,6 +234,11 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
         ("figures", {"grid_points": 1}),
         ("sweep", {"parallelism": 0}),
         ("steady", {"n_max": 0}),
+        ("g2", {"tau_min_inv_kappa": 0}),
+        ("steady", {"kappa_mev": -1}),
+        ("sweep", {"axis1": "tunneling_T:0:1:3"}),
+        ("g2", {"tau_max_inv_kappa": float("inf")}),
+        ("spectrum", {"omega_min_mev": float("-inf"), "omega_max_mev": 1219.0}),
     ],
 )
 def test_config_file_values_checked_like_flags(tmp_path, capsys, subcommand, config):
@@ -290,6 +321,18 @@ def test_figures_panel_files(tmp_path, capsys):
         io.StringIO((tmp_path / "fig2_lines_T0p01.csv").read_text())
     ))
     assert len(lines_rows) == 3 * 3  # three lines per zeta point
+
+
+def test_figures_warns_about_failed_panel_points(tmp_path, capsys):
+    # omega2 == omega1 is valid only at zeta 0, so every panel point fails
+    code, out, err = _run(capsys, [
+        "figures", "--which", "2", "--omega2-mev", "1218.0", "--zeta-mev", "0",
+        "--out", str(tmp_path), "--zeta-points", "1", "--n-max", "1",
+    ])
+    assert code == 0
+    assert err.count("warning: panel T=") == 3
+    assert "failed: error:ValueError: " in err
+    _validate(json.loads(out))
 
 
 def test_figures_grid_files(tmp_path, capsys):

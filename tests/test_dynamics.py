@@ -166,6 +166,14 @@ def test_spectrum_metadata_and_component_filter(laucht):
         assert pole.real <= 1e-12  # stable modes only
 
 
+def test_dark_cavity_spectrum_has_no_modes(laucht):
+    dark = laucht.replace(pump1=0.0, pump2=0.0, cavity_pump=0.0)
+    spec = pl_spectrum(dark, default_omega_grid(dark, points=21), n_max=1)
+    assert spec.poles.size == 0
+    assert spec.amplitudes.size == 0
+    assert np.array_equal(spec.intensities, np.zeros(21))
+
+
 def test_peak_detector_on_synthetic_lines():
     grid = np.linspace(-2.0, 2.0, 4001)
     truth = [(-0.7, 0.05, 1.0), (0.1, 0.02, 0.4), (0.9, 0.08, 0.7)]

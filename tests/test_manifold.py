@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from dqdcavity import (
+    G,
+    X,
     CompositeBasis,
     ModelParams,
+    build_liouvillian,
     exceptional_point_scan,
     liouvillian_block_crosscheck,
     phat_rates,
@@ -66,6 +69,18 @@ def test_block_of_full_generator_matches(laucht):
     rng = np.random.default_rng(13)
     for _ in range(10):
         assert liouvillian_block_crosscheck(_random_params(rng), basis) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["laucht-strong", "fig3-right"])
+def test_block_differs_with_gains_on(name):
+    # negative control for liouvillian_block_crosscheck: the gains are what it zeroes
+    p = preset(name)
+    basis = CompositeBasis(2)
+    d = basis.dim
+    one = [basis.index_of(1, G, G), basis.index_of(0, X, G), basis.index_of(0, G, X)]
+    vec_idx = [basis.index_of(0, G, G) * d + r for r in one]
+    sub = build_liouvillian(p, basis).entries[np.ix_(vec_idx, vec_idx)]
+    assert np.abs(sub - transition_matrix_generic(p, basis)).max() > 1e-3
 
 
 def test_line_frequencies_and_widths_from_cubic_roots():

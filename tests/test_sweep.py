@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -101,6 +104,34 @@ def test_point_errors_become_rows(laucht):
     assert all(r["n_cavity"] is not None for r in good)
 
 
+def test_transition_line_columns_match_transition_lines(laucht):
+    spec = SweepSpec(params=laucht, axis1=_axis(count=2), axis2=_axis("zeta", count=2),
+                     observables=("transition_lines",), n_max=1)
+    row = evaluate_point(spec, 0.3, 0.7)
+    assert row["status"] == "ok"
+    lines = transition_lines(laucht.replace(tunneling_T=0.3, zeta=0.7))
+    for k, line in enumerate(lines, start=1):
+        assert row[f"line{k}_frequency_mev"] == line.frequency
+        assert row[f"line{k}_hwhm_mev"] == line.hwhm
+
+
+def test_error_rows_write_empty_cells(laucht):
+    spec = SweepSpec(
+        params=laucht.replace(omega2=laucht.omega1, zeta=0.0),
+        axis1=_axis(count=2), axis2=_axis("zeta", count=2),
+        observables=("n_cavity", "transition_lines"), n_max=1,
+    )
+    result = run_sweep(spec)
+    rows = list(csv.reader(io.StringIO(result.to_csv())))
+    assert len(rows) == 5
+    for row in rows[1:]:
+        cells = dict(zip(rows[0], row))
+        assert cells["status"] == "error:ValueError"
+        assert cells["error"]
+        data = [v for c, v in cells.items() if c not in ("tunneling_T", "zeta", "status", "error")]
+        assert data and all(v == "" for v in data)
+
+
 def test_sweep_determinism_and_parallel_equivalence(laucht):
     spec = SweepSpec(
         params=laucht,
@@ -193,6 +224,18 @@ def test_two_bright_lines_flank_a_dark_center(laucht):
     left, center, right = areas
     assert left > 0.0 and right > 0.0
     assert center < 0.2 * min(left, right)
+
+
+def test_failed_panel_point_is_kept_as_status(laucht):
+    (panel,) = run_spectra_panel(
+        laucht.replace(omega2=laucht.omega1, zeta=0.0),
+        tunneling_values=[0.01], zeta_values=[1e-3],
+        omega_grid=default_omega_grid(laucht, points=11), n_max=1,
+    )
+    assert panel.statuses[0].startswith("error:ValueError: ")
+    assert panel.spectra == (None,)
+    assert panel.lines == (None,)
+    assert panel_spectra_csv(panel) == "tunneling_T,zeta,omega_mev,offset_mev,intensity\r\n"
 
 
 def test_panel_csv_writers(laucht):
