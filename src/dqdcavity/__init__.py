@@ -14,7 +14,6 @@ from .dynamics import (
     SpectrumPeak,
     SpectrumResult,
     default_omega_grid,
-    default_tau_grid,
     exp_decay_sum,
     find_spectrum_peaks,
     g2,
@@ -37,7 +36,6 @@ from .hilbert import (
     CompositeBasis,
     OperatorMatrix,
     annihilation,
-    identity,
     qubit_lowering,
 )
 from .liouvillian import (
@@ -120,7 +118,6 @@ __all__ = [
     "annihilation",
     "build_liouvillian",
     "default_omega_grid",
-    "default_tau_grid",
     "evaluate_point",
     "exceptional_point_scan",
     "exp_decay_sum",
@@ -130,7 +127,6 @@ __all__ = [
     "g2_zero",
     "g2_zero_from_state",
     "hamiltonian",
-    "identity",
     "jump_operators",
     "liouvillian_block_crosscheck",
     "load_output_schema",

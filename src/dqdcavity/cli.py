@@ -196,7 +196,7 @@ def _config_flags(path: str, ns: argparse.Namespace) -> list[str]:
     sub = data.pop("subcommand", ns.subcommand)
     if sub != ns.subcommand:
         raise CliConfigError(
-            f"config file targets subcommand {sub!r} but {ns.subcommand!r} was invoked"
+            f"config file {path!r} targets subcommand {sub!r} but {ns.subcommand!r} was invoked"
         )
     flags = []
     for key, value in data.items():

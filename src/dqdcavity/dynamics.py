@@ -24,7 +24,8 @@ from .steadystate import DensityMatrix, expectation, steady_state
 _AMPLITUDE_CUTOFF = 1e-14
 # peaks need at least this fraction of the maximum intensity as prominence
 _PEAK_REL_PROMINENCE = 0.05
-_TAU_POINTS = 200
+# default spectrum window: this far either side of the cavity energy (meV)
+_OMEGA_HALF_SPAN = 3.0
 
 
 def _readout_row(op: np.ndarray) -> np.ndarray:
@@ -196,11 +197,11 @@ def two_time_correlation(
     return CorrelationResult(taus, exp_decay_sum(taus, weights, lams))
 
 
-def default_omega_grid(params: ModelParams, half_span: float = 3.0, points: int = 2001) -> np.ndarray:
-    """Uniform frequency grid centered on the cavity energy (meV)."""
-    if half_span <= 0.0 or points < 2:
-        raise ValueError("need half_span > 0 and at least 2 grid points")
-    return np.linspace(params.omega0 - half_span, params.omega0 + half_span, points)
+def default_omega_grid(params: ModelParams, points: int = 2001) -> np.ndarray:
+    """Uniform frequency grid over omega0 +- 3 meV."""
+    if points < 2:
+        raise ValueError(f"need at least 2 grid points, got {points}")
+    return np.linspace(params.omega0 - _OMEGA_HALF_SPAN, params.omega0 + _OMEGA_HALF_SPAN, points)
 
 
 def pl_spectrum(
@@ -310,15 +311,8 @@ def g2_zero_from_state(rho: DensityMatrix) -> float:
     return expectation(rho, pair).real / n_avg**2
 
 
-def default_tau_grid(params: ModelParams) -> np.ndarray:
-    """Geometric delay grid of 200 points from 1e-3/kappa to 1e2/kappa (units hbar/meV)."""
-    if params.kappa <= 0.0:
-        raise ValueError("tau grid needs kappa > 0 to set the delay scale")
-    return np.geomspace(1e-3 / params.kappa, 1e2 / params.kappa, _TAU_POINTS)
-
-
-def g2(params: ModelParams, taus=None, *, n_max: int = 3) -> list[tuple[float, float]]:
-    """Normalized second-order coherence g2(tau) on a delay grid.
+def g2(params: ModelParams, taus, *, n_max: int = 3) -> list[tuple[float, float]]:
+    """Normalized second-order coherence g2(tau) on a delay grid (units hbar/meV).
 
     g2(tau) = Tr[a^dag a e^{L tau}(a rho_ss a^dag)] / <a^dag a>^2. Raises
     UndefinedObservableError when the steady photon number is negligible.
@@ -328,8 +322,6 @@ def g2(params: ModelParams, taus=None, *, n_max: int = 3) -> list[tuple[float, f
     rho = steady_state(lio)
     a, num, _ = _second_moment_ops(basis)
     n_avg = _photon_number(rho, num)
-    if taus is None:
-        taus = default_tau_grid(params)
     corr = two_time_correlation(lio, rho, a.dag(), a, num, taus)
     normalized = corr.values.real / n_avg**2
     return [(float(t), float(v)) for t, v in zip(corr.taus, normalized)]

@@ -99,7 +99,3 @@ def qubit_lowering(basis: CompositeBasis, which: int) -> OperatorMatrix:
     else:
         mat = np.kron(eye_f, np.kron(np.eye(2), sig))
     return OperatorMatrix(basis, mat)
-
-
-def identity(basis: CompositeBasis) -> OperatorMatrix:
-    return OperatorMatrix(basis, np.eye(basis.dim))

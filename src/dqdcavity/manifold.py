@@ -141,16 +141,15 @@ class ExceptionalPointScan:
             object.__setattr__(self, name, frozen_array(getattr(self, name), float))
 
 
-def exceptional_point_scan(params: ModelParams, zeta_values=None) -> ExceptionalPointScan:
-    """Scan zeta for the closest approach of two transition-line frequencies."""
-    if zeta_values is None:
-        zeta_values = np.geomspace(1e-3, 10.0, 200)
-    zeta_values = np.asarray(zeta_values, dtype=float)
-    if zeta_values.size < 2 or zeta_values.min() <= 0.0:
-        raise ValueError("zeta scan needs at least 2 strictly positive values")
-    min_gaps = np.empty(zeta_values.size)
-    width_gaps = np.empty(zeta_values.size)
-    for i, z in enumerate(zeta_values):
+def exceptional_point_scan(params: ModelParams) -> ExceptionalPointScan:
+    """Scan zeta for the closest approach of two transition-line frequencies.
+
+    The scan runs over 200 log-spaced zeta values from 1e-3 to 10 meV.
+    """
+    zetas = np.geomspace(1e-3, 10.0, 200)
+    min_gaps = np.empty(zetas.size)
+    width_gaps = np.empty(zetas.size)
+    for i, z in enumerate(zetas):
         lines = transition_lines(params.replace(zeta=float(z)))
         freq_gaps = [lines[1].frequency - lines[0].frequency, lines[2].frequency - lines[1].frequency]
         pair = int(np.argmin(freq_gaps))
@@ -158,10 +157,10 @@ def exceptional_point_scan(params: ModelParams, zeta_values=None) -> Exceptional
         width_gaps[i] = abs(lines[pair + 1].hwhm - lines[pair].hwhm)
     best = int(np.argmin(min_gaps))
     return ExceptionalPointScan(
-        zetas=zeta_values,
+        zetas=zetas,
         min_gaps=min_gaps,
         width_gaps=width_gaps,
-        zeta_star=float(zeta_values[best]),
+        zeta_star=float(zetas[best]),
         min_gap=float(min_gaps[best]),
         width_gap_at_star=float(width_gaps[best]),
     )

@@ -50,8 +50,12 @@ class SweepAxis:
             )
         if not (self.start > 0.0 and self.stop > 0.0):
             raise ValueError(f"log axis {self.name!r} needs strictly positive range")
-        if self.count < 2:
-            raise ValueError(f"axis {self.name!r} needs count >= 2, got {self.count}")
+        if not np.isfinite([self.start, self.stop]).all():
+            raise ValueError(
+                f"log axis {self.name!r} needs finite bounds, got {self.start} to {self.stop}"
+            )
+        if not isinstance(self.count, (int, np.integer)) or self.count < 2:
+            raise ValueError(f"axis {self.name!r} needs an integer count >= 2, got {self.count!r}")
 
     def values(self) -> np.ndarray:
         return np.geomspace(self.start, self.stop, self.count)
@@ -78,8 +82,7 @@ class SweepSpec:
             raise ValueError("at least one observable is required")
         if self.axis1.name == self.axis2.name:
             raise ValueError(f"both axes sweep {self.axis1.name!r}; axes must differ")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        CompositeBasis(self.n_max)  # raises on an invalid cutoff
 
     def columns(self) -> tuple[str, ...]:
         cols = [self.axis1.name, self.axis2.name]
@@ -100,7 +103,6 @@ class SweepResult:
     text.
     """
 
-    spec: SweepSpec
     columns: tuple[str, ...]
     rows: tuple[dict, ...]
     metadata: dict
@@ -185,12 +187,7 @@ def run_sweep(spec: SweepSpec, *, parallelism: int = 1) -> SweepResult:
     v2s = spec.axis2.values()
     tasks = [(float(a), float(b)) for a in spec.axis1.values() for b in v2s]
     rows = _map(lambda task: evaluate_point(spec, *task), tasks, parallelism)
-    return SweepResult(
-        spec=spec,
-        columns=spec.columns(),
-        rows=tuple(rows),
-        metadata=_run_metadata(spec),
-    )
+    return SweepResult(columns=spec.columns(), rows=tuple(rows), metadata=_run_metadata(spec))
 
 
 @dataclass(frozen=True)
@@ -212,18 +209,21 @@ def run_spectra_panel(
     tunneling_values,
     zeta_values,
     *,
-    omega_grid=None,
     n_max: int = 3,
     parallelism: int = 1,
 ) -> list[SpectraPanel]:
-    """One SpectraPanel per tunneling amplitude over a shared zeta scan."""
+    """One SpectraPanel per tunneling amplitude over a shared zeta scan.
+
+    Each spectrum is on pl_spectrum's default frequency grid.
+    """
+    CompositeBasis(n_max)  # raises on an invalid cutoff before any point runs
     zeta_values = np.asarray(zeta_values, dtype=float)
 
     def point(task):
         tun, z = task
         try:
             p = params.replace(tunneling_T=float(tun), zeta=float(z))
-            spectrum = pl_spectrum(p, omega_grid, n_max=n_max)
+            spectrum = pl_spectrum(p, n_max=n_max)
             lines = transition_lines(p)
             return "ok", spectrum, lines
         except (ValueError, RuntimeError, ArithmeticError) as exc:

@@ -78,6 +78,12 @@ CASES = {
     "g2_tau_max_inf": (["g2", *_SMALL, "--tau-points", "5", "--tau-max-inv-kappa", "inf",
                         "--out", "{d}/g2.csv"], None),
     "config_model_error": (["steady", "--config", "{d}/run.json"], {"kappa_mev": -1}),
+    "sweep_axis_inf": (["sweep", "--n-max", "1", "--axis1", "tunneling_T:0.001:inf:3",
+                        "--axis2", "zeta:0.001:10:2", "--format", "csv"], None),
+    "config_subcommand_mismatch": (["spectrum", "--config", "{d}/run.json"],
+                                   {"subcommand": "g2"}),
+    "config_normalize_switch": (["spectrum", "--config", "{d}/run.json"],
+                                {"normalize": True, "n_max": 1, "omega_points": 11}),
 }
 
 _TIMESTAMP = re.compile(r'("timestamp": )"[^"]*"')

@@ -29,7 +29,6 @@ PUBLIC_NAMES = {
     "annihilation",
     "build_liouvillian",
     "default_omega_grid",
-    "default_tau_grid",
     "evaluate_point",
     "exceptional_point_scan",
     "exp_decay_sum",
@@ -39,7 +38,6 @@ PUBLIC_NAMES = {
     "g2_zero",
     "g2_zero_from_state",
     "hamiltonian",
-    "identity",
     "jump_operators",
     "liouvillian_block_crosscheck",
     "load_output_schema",

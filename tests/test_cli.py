@@ -148,6 +148,13 @@ def test_bad_axis_is_config_error(capsys):
     ])
     assert code == 1
     assert "name:start:stop:count" in err
+    code, out, err = _run(capsys, [
+        "sweep", "--n-max", "1", "--axis1", "tunneling_T:0.001:inf:3",
+        "--axis2", "zeta:0.001:10:2", "--format", "csv",
+    ])
+    assert code == 1
+    assert "axis1" in err and "finite" in err
+    assert out == ""
 
 
 def test_unknown_observable_names_itself(capsys):
@@ -251,6 +258,30 @@ def test_config_file_values_checked_like_flags(tmp_path, capsys, subcommand, con
     assert "Traceback" not in err
     assert out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [None, "{not json", "[1, 2]", '{"subcommand": "g2"}', '{"omega_points": [11]}'],
+    ids=["unreadable", "invalid-json", "not-an-object", "other-subcommand", "list-value"],
+)
+def test_config_file_errors_name_the_file(tmp_path, capsys, text):
+    cfg = tmp_path / "run.json"
+    if text is not None:
+        cfg.write_text(text)
+    code, out, err = _run(capsys, ["spectrum", "--config", str(cfg)])
+    assert code == 1
+    assert err.startswith("configuration error: ")
+    assert repr(str(cfg)) in err
+    assert out == ""
+
+
+def test_config_file_switch_sets_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"normalize": True, "n_max": 1, "omega_points": 101}))
+    code, out, _ = _run(capsys, ["spectrum", "--config", str(cfg)])
+    assert code == 0
+    assert max(float(r["intensity"]) for r in csv.DictReader(io.StringIO(out))) == 1.0
 
 
 _PARAM_NONE = {

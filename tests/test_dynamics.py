@@ -5,18 +5,17 @@ from dqdcavity import (
     BasisMismatchError,
     CompositeBasis,
     DiagonalizationError,
+    OperatorMatrix,
     SpectrumResult,
     UndefinedObservableError,
     annihilation,
     build_liouvillian,
     default_omega_grid,
-    default_tau_grid,
     dynamics,
     expectation,
     find_spectrum_peaks,
     g2,
     g2_zero,
-    identity,
     pl_spectrum,
     steady_state,
     two_time_correlation,
@@ -35,7 +34,8 @@ def test_correlation_starts_at_equal_time_moment(laucht):
     lop = build_liouvillian(laucht, basis)
     rho = steady_state(lop)
     a = annihilation(basis)
-    corr = two_time_correlation(lop, rho, a.dag(), identity(basis), a, np.array([0.0, 1.0]))
+    one = OperatorMatrix(basis, np.eye(basis.dim))
+    corr = two_time_correlation(lop, rho, a.dag(), one, a, np.array([0.0, 1.0]))
     want = expectation(rho, a.dag() @ a)
     assert corr.values[0] == pytest.approx(want, rel=1e-10)
     assert not corr.used_expm_fallback
@@ -54,8 +54,9 @@ def test_eigen_and_expm_propagation_agree(laucht):
     lop = build_liouvillian(laucht, basis)
     rho = steady_state(lop)
     a = annihilation(basis)
+    one = OperatorMatrix(basis, np.eye(basis.dim))
     taus = np.linspace(0.0, 40.0, 9)
-    ev = two_time_correlation(lop, rho, a.dag(), identity(basis), a, taus)
+    ev = two_time_correlation(lop, rho, a.dag(), one, a, taus)
     assert not ev.used_expm_fallback
     ex = _oracle_first_order(laucht, basis, taus)
     scale = np.abs(ev.values[0])
@@ -71,8 +72,9 @@ def test_expm_fallback_runs_when_eigenbasis_fails(laucht, monkeypatch):
     lop = build_liouvillian(laucht, basis)
     rho = steady_state(lop)
     a = annihilation(basis)
+    one = OperatorMatrix(basis, np.eye(basis.dim))
     taus = np.linspace(0.0, 40.0, 9)
-    corr = two_time_correlation(lop, rho, a.dag(), identity(basis), a, taus)
+    corr = two_time_correlation(lop, rho, a.dag(), one, a, taus)
     assert corr.used_expm_fallback
     want = _oracle_first_order(laucht, basis, taus)
     assert np.abs(corr.values - want).max() < 1e-8 * np.abs(want[0])
@@ -85,17 +87,16 @@ def test_empty_cavity_coherence_decay_closed_form(laucht):
     lop = build_liouvillian(dec, basis)
     rho = steady_state(lop)
     a = annihilation(basis)
+    one = OperatorMatrix(basis, np.eye(basis.dim))
     n = expectation(rho, a.dag() @ a).real
     taus = np.linspace(0.0, 60.0, 31)
-    corr = two_time_correlation(lop, rho, a.dag(), identity(basis), a, taus)
+    corr = two_time_correlation(lop, rho, a.dag(), one, a, taus)
     rate = (dec.kappa - dec.cavity_pump) / 2.0
     want = n * np.exp((-1j * dec.omega0 - rate) * taus)
     # residual deviation is the truncated-ladder correction, O(thermal tail)
     assert np.abs(corr.values - want).max() < 1e-4 * n
     # long-delay falloff: 50/kappa is ~24 coherence lifetimes here
-    far = two_time_correlation(
-        lop, rho, a.dag(), identity(basis), a, np.array([0.0, 50.0 / dec.kappa])
-    )
+    far = two_time_correlation(lop, rho, a.dag(), one, a, np.array([0.0, 50.0 / dec.kappa]))
     assert abs(far.values[1]) < 1e-6 * abs(far.values[0])
 
 
@@ -104,16 +105,20 @@ def test_correlation_input_validation(laucht):
     lop = build_liouvillian(laucht, basis)
     rho = steady_state(lop)
     a = annihilation(basis)
+    one = OperatorMatrix(basis, np.eye(basis.dim))
     with pytest.raises(ValueError):
-        two_time_correlation(lop, rho, a.dag(), identity(basis), a, np.array([-1.0, 0.0]))
+        two_time_correlation(lop, rho, a.dag(), one, a, np.array([-1.0, 0.0]))
     with pytest.raises(BasisMismatchError):
-        two_time_correlation(lop, rho, a.dag(), identity(basis), annihilation(CompositeBasis(2)),
+        two_time_correlation(lop, rho, a.dag(), one, annihilation(CompositeBasis(2)),
                              np.array([0.0]))
+    other_rho = steady_state(build_liouvillian(laucht, CompositeBasis(2)))
+    with pytest.raises(BasisMismatchError, match="density matrix"):
+        two_time_correlation(lop, other_rho, a.dag(), one, a, np.array([0.0]))
 
 
 def test_spectrum_of_empty_cavity_is_single_line(laucht):
     dec = _decoupled_cavity(laucht)
-    grid = default_omega_grid(dec, half_span=1.5, points=3001)
+    grid = np.linspace(dec.omega0 - 1.5, dec.omega0 + 1.5, 3001)
     spec = pl_spectrum(dec, grid, n_max=6)
     peaks = find_spectrum_peaks(spec)
     assert len(peaks) == 1
@@ -136,7 +141,7 @@ def test_spectrum_sum_rule(laucht):
     narrow = pl_spectrum(laucht, default_omega_grid(laucht), n_max=3)
     total_narrow = np.trapezoid(narrow.intensities, narrow.frequencies)
     assert total_narrow == pytest.approx(flux, rel=0.02)
-    wide_grid = default_omega_grid(laucht, half_span=12.0, points=8001)
+    wide_grid = np.linspace(laucht.omega0 - 12.0, laucht.omega0 + 12.0, 8001)
     wide = pl_spectrum(laucht, wide_grid, n_max=3)
     total_wide = np.trapezoid(wide.intensities, wide_grid)
     assert total_wide == pytest.approx(flux, rel=0.005)
@@ -172,6 +177,7 @@ def test_dark_cavity_spectrum_has_no_modes(laucht):
     assert spec.poles.size == 0
     assert spec.amplitudes.size == 0
     assert np.array_equal(spec.intensities, np.zeros(21))
+    assert find_spectrum_peaks(spec) == []
 
 
 def test_peak_detector_on_synthetic_lines():
@@ -188,6 +194,15 @@ def test_peak_detector_on_synthetic_lines():
     for pk, (center, hwhm, _) in zip(peaks, truth):
         assert abs(pk.frequency - center) <= grid[1] - grid[0]
         assert pk.hwhm == pytest.approx(hwhm, rel=0.1)
+
+
+def test_peak_detector_finds_nothing_without_an_interior_peak(laucht):
+    two_points = pl_spectrum(laucht, default_omega_grid(laucht, points=2), n_max=1)
+    # far above every line the intensity only falls
+    tail = pl_spectrum(laucht, np.linspace(1230.0, 1232.0, 201), n_max=1)
+    assert np.all(np.diff(tail.intensities) < 0.0)
+    assert find_spectrum_peaks(two_points) == []
+    assert find_spectrum_peaks(tail) == []
 
 
 def test_peak_detector_needs_uniform_grid():
@@ -234,7 +249,3 @@ def test_default_grids(laucht):
     assert len(grid) == 2001
     assert grid[0] == pytest.approx(laucht.omega0 - 3.0)
     assert grid[-1] == pytest.approx(laucht.omega0 + 3.0)
-    taus = default_tau_grid(laucht)
-    assert taus[0] == pytest.approx(1e-3 / laucht.kappa)
-    assert taus[-1] == pytest.approx(1e2 / laucht.kappa)
-    assert np.all(np.diff(taus) > 0)

@@ -146,13 +146,12 @@ def test_exceptional_point_scan_finds_coalescence(laucht):
     assert scan.min_gaps[0] > 0.1
 
 
-def test_exceptional_point_scan_validates_grid(laucht):
-    with pytest.raises(ValueError):
-        exceptional_point_scan(laucht, zeta_values=[0.5])
-    with pytest.raises(ValueError):
-        exceptional_point_scan(laucht, zeta_values=[-1.0, 1.0])
-    custom = exceptional_point_scan(laucht, zeta_values=np.geomspace(0.1, 1.0, 7))
-    assert custom.zetas.size == 7
+def test_exceptional_point_scan_grid(laucht):
+    scan = exceptional_point_scan(laucht)
+    assert scan.zetas.size == 200
+    assert scan.zetas[0] == pytest.approx(1e-3)
+    assert scan.zetas[-1] == pytest.approx(10.0)
+    assert np.allclose(scan.zetas[1:] / scan.zetas[:-1], (10.0 / 1e-3) ** (1 / 199))
 
 
 def test_preset_factories_round_trip():

@@ -71,6 +71,8 @@ def test_params_validation():
         p.replace(gamma1=float("nan"))
     with pytest.raises(ValueError, match="temperature"):
         p.replace(temperature=0.0)
+    with pytest.raises(ValueError, match="omega0"):
+        p.replace(omega0=0.0)
     # degenerate dots with phonon transfer on: thermal factor undefined
     with pytest.raises(ValueError, match="omega1 != omega2"):
         p.replace(omega2=p.omega1)

@@ -30,6 +30,10 @@ def test_axis_validation_names_offender():
         SweepAxis(name="zeta", start=0.0, stop=1.0, count=3)
     with pytest.raises(ValueError):
         SweepAxis(name="zeta", start=0.1, stop=1.0, count=1)
+    with pytest.raises(ValueError, match="'zeta' needs finite bounds"):
+        SweepAxis(name="zeta", start=0.1, stop=float("inf"), count=3)
+    with pytest.raises(ValueError, match="integer count"):
+        SweepAxis(name="zeta", start=0.1, stop=1.0, count=2.5)
 
 
 def test_axis_values_are_log_spaced():
@@ -50,6 +54,8 @@ def test_spec_validation(laucht):
         SweepSpec(params=laucht, axis1=_axis(), axis2=_axis("zeta"), observables=())
     with pytest.raises(ValueError):
         SweepSpec(params=laucht, axis1=_axis(), axis2=_axis("zeta"), n_max=0)
+    with pytest.raises(ValueError, match="n_max must be an integer >= 1, got 2.5"):
+        SweepSpec(params=laucht, axis1=_axis(), axis2=_axis("zeta"), n_max=2.5)
 
 
 def test_columns_follow_observables(laucht):
@@ -192,7 +198,7 @@ def test_panel_structure_and_peak_counts(laucht):
     quiet = _low_pump(laucht)
     panels = run_spectra_panel(
         quiet, tunneling_values=[0.01, 5.0], zeta_values=[1e-4, 1e-3],
-        omega_grid=default_omega_grid(laucht), n_max=2,
+        n_max=2,
     )
     assert [p.tunneling for p in panels] == [0.01, 5.0]
     for panel in panels:
@@ -230,7 +236,7 @@ def test_failed_panel_point_is_kept_as_status(laucht):
     (panel,) = run_spectra_panel(
         laucht.replace(omega2=laucht.omega1, zeta=0.0),
         tunneling_values=[0.01], zeta_values=[1e-3],
-        omega_grid=default_omega_grid(laucht, points=11), n_max=1,
+        n_max=1,
     )
     assert panel.statuses[0].startswith("error:ValueError: ")
     assert panel.spectra == (None,)
@@ -238,16 +244,21 @@ def test_failed_panel_point_is_kept_as_status(laucht):
     assert panel_spectra_csv(panel) == "tunneling_T,zeta,omega_mev,offset_mev,intensity\r\n"
 
 
+def test_spectra_panel_rejects_bad_cutoff(laucht):
+    with pytest.raises(ValueError, match="n_max must be an integer >= 1, got 0"):
+        run_spectra_panel(laucht, tunneling_values=[0.01], zeta_values=[1e-3], n_max=0)
+
+
 def test_panel_csv_writers(laucht):
     quiet = _low_pump(laucht)
     panels = run_spectra_panel(
         quiet, tunneling_values=[0.01], zeta_values=[1e-3],
-        omega_grid=default_omega_grid(laucht, points=51), n_max=1,
+        n_max=1,
     )
     spectra_text = panel_spectra_csv(panels[0])
     rows = spectra_text.split("\r\n")
     assert rows[0] == "tunneling_T,zeta,omega_mev,offset_mev,intensity"
-    assert len([r for r in rows if r]) == 1 + 51
+    assert len([r for r in rows if r]) == 1 + 2001
     lines_text = panel_lines_csv(panels[0])
     lrows = lines_text.split("\r\n")
     assert lrows[0] == "tunneling_T,zeta,line_index,frequency_mev,offset_mev,hwhm_mev"
