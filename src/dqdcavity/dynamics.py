@@ -4,7 +4,10 @@ Everything here rides on the regression property of the master equation: a
 correlation Tr[A e^{L tau}(C rho B)] is obtained by propagating the seeded
 matrix C rho B with the same generator as the state. The spectrum is the
 half-Fourier transform of <a^dag(0) a(tau)> in the steady state, evaluated
-exactly as a sum of complex Lorentzians over generator eigenvalues.
+exactly as a sum of complex Lorentzians over generator eigenvalues. Its seed
+rho a^dag lies in the k = N_ket - N_bra = +1 sector, so pl_spectrum
+eigendecomposes that block alone (m = 46 of d^2 = 256 at n_max 3); g2(tau)
+and two_time_correlation still propagate on the dense generator.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ import scipy.linalg
 
 from .errors import BasisMismatchError, DiagonalizationError, UndefinedObservableError
 from .hilbert import CompositeBasis, OperatorMatrix, annihilation, frozen_array
-from .liouvillian import SuperoperatorMatrix, build_liouvillian, vec
+from .liouvillian import SuperoperatorMatrix, build_liouvillian, sector_block, sector_indices, vec
 from .model import ModelParams
-from .steadystate import DensityMatrix, expectation, steady_state
+from .steadystate import DensityMatrix, number_moments, sector_steady_state, steady_state
 
 # relative residue cutoff; modes this far below the strongest carry no weight
 _AMPLITUDE_CUTOFF = 1e-14
@@ -212,22 +215,24 @@ def pl_spectrum(
 ) -> SpectrumResult:
     """Cavity emission spectrum I(w) = (kappa/pi) Re sum_k c_k / (-lambda_k - i w).
 
-    The residues c_k come from expanding vec(rho_ss a^dag) over generator
-    eigenvectors and reading out with a, i.e. the half-Fourier transform of
-    <a^dag(0) a(tau)>. No overall normalization beyond the kappa/pi prefactor,
-    so integrating I over a wide grid recovers kappa <a^dag a>. Modes whose
-    residue is below 1e-14 of the largest are dropped.
+    The residues c_k come from expanding rho_ss a^dag over the eigenvectors
+    of the generator's k = +1 block and reading out with a, i.e. the
+    half-Fourier transform of <a^dag(0) a(tau)>. The seed and the read-out
+    vanish outside that sector, so the other sectors' modes carry no weight.
+    No overall normalization beyond the kappa/pi prefactor, so integrating I
+    over a wide grid recovers kappa <a^dag a>. Modes whose residue is below
+    1e-14 of the largest are dropped.
     """
     if omega_grid is None:
         omega_grid = default_omega_grid(params)
     omega_grid = np.asarray(omega_grid, dtype=float)
     basis = CompositeBasis(n_max)
-    lio = build_liouvillian(params, basis)
-    rho = steady_state(lio)
-    a = annihilation(basis)
-    seed = vec(rho.entries @ a.dag().entries)
-    obs_row = _readout_row(a.entries)
-    weights, lams = _mode_weights(lio.entries, seed, obs_row)
+    rho = sector_steady_state(params, basis)
+    ket, bra, _ = sector_indices(n_max, 1)
+    a = annihilation(basis).entries
+    seed = (rho.entries @ a.conj().T)[ket, bra]
+    obs_row = a.T[ket, bra]  # Tr[a X] reads X[i, j] with a[j, i]
+    weights, lams = _mode_weights(sector_block(params, basis, 1), seed, obs_row)
     top = float(np.abs(weights).max(initial=0.0))
     keep = np.abs(weights) > _AMPLITUDE_CUTOFF * top
     weights, lams = weights[keep], lams[keep]
@@ -280,16 +285,9 @@ def find_spectrum_peaks(spectrum: SpectrumResult) -> list[SpectrumPeak]:
     return peaks
 
 
-def _second_moment_ops(basis: CompositeBasis):
-    a = annihilation(basis)
-    num = a.dag() @ a
-    pair = a.dag() @ a.dag() @ a @ a
-    return a, num, pair
-
-
-def _photon_number(rho: DensityMatrix, num: OperatorMatrix) -> float:
-    """<a^dag a> in rho; raises when it is too small to normalize g2 by."""
-    n_avg = expectation(rho, num).real
+def _photon_number(n_avg: float) -> float:
+    """<a^dag a> as a float; raises when it is too small to normalize g2 by."""
+    n_avg = float(n_avg)
     if n_avg <= 1e-12:
         raise UndefinedObservableError(
             f"photon number {n_avg:.3e} too small for a normalized g2"
@@ -299,16 +297,13 @@ def _photon_number(rho: DensityMatrix, num: OperatorMatrix) -> float:
 
 def g2_zero(params: ModelParams, *, n_max: int = 3) -> float:
     """g2(0) = <a^dag a^dag a a> / <a^dag a>^2 from the steady state alone."""
-    basis = CompositeBasis(n_max)
-    rho = steady_state(build_liouvillian(params, basis))
-    return g2_zero_from_state(rho)
+    return g2_zero_from_state(sector_steady_state(params, CompositeBasis(n_max)))
 
 
 def g2_zero_from_state(rho: DensityMatrix) -> float:
     """Equal-time g2 evaluated on an already-computed steady state."""
-    _, num, pair = _second_moment_ops(rho.basis)
-    n_avg = _photon_number(rho, num)
-    return expectation(rho, pair).real / n_avg**2
+    n_avg, _, _, pairs = number_moments(rho)
+    return float(pairs) / _photon_number(n_avg) ** 2
 
 
 def g2(params: ModelParams, taus, *, n_max: int = 3) -> list[tuple[float, float]]:
@@ -320,8 +315,8 @@ def g2(params: ModelParams, taus, *, n_max: int = 3) -> list[tuple[float, float]
     basis = CompositeBasis(n_max)
     lio = build_liouvillian(params, basis)
     rho = steady_state(lio)
-    a, num, _ = _second_moment_ops(basis)
-    n_avg = _photon_number(rho, num)
-    corr = two_time_correlation(lio, rho, a.dag(), a, num, taus)
+    a = annihilation(basis)
+    n_avg = _photon_number(number_moments(rho)[0])
+    corr = two_time_correlation(lio, rho, a.dag(), a, a.dag() @ a, taus)
     normalized = corr.values.real / n_avg**2
     return [(float(t), float(v)) for t, v in zip(corr.taus, normalized)]

@@ -7,6 +7,7 @@ photon number n and dot levels s in {G, X} sits at flat index
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,18 @@ class CompositeBasis:
         if s1 not in (G, X) or s2 not in (G, X):
             raise ValueError(f"dot levels must be G={G} or X={X}, got ({s1}, {s2})")
         return n * 4 + s1 * 2 + s2
+
+
+@functools.lru_cache(maxsize=None)
+def level_counts(n_max: int) -> np.ndarray:
+    """Photons, dot-1 and dot-2 excitations of every flat index, as a read-only (3, dim) array."""
+    basis = CompositeBasis(n_max)
+    counts = np.zeros((3, basis.dim), dtype=np.intp)
+    for n in range(n_max + 1):
+        for s1 in (G, X):
+            for s2 in (G, X):
+                counts[:, basis.index_of(n, s1, s2)] = (n, s1 == X, s2 == X)
+    return frozen_array(counts, np.intp)
 
 
 @dataclass(frozen=True)

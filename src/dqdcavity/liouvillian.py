@@ -6,16 +6,20 @@ with the effective non-Hermitian Hamiltonian K = -iH - sum_k r_k O_k^dag O_k / 2
 the Lindblad generator K rho + rho K^dag + sum_k r_k O_k rho O_k^dag is
 kron(I, K) + kron(conj(K), I) + sum_k kron(r_k conj(O_k), O_k). K keeps
 N = photons + excitons and each O_k shifts N equally on both sides of rho, so
-the generator is block-diagonal in k = N_ket - N_bra.
+the generator is block-diagonal in k = N_ket - N_bra. Every result needs only
+one such sector (k = 0 for the steady state, k = +1 for the emission spectrum),
+and sector_block assembles it from K alone, entry for entry equal to the
+matching slice of the dense generator.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import CompositeBasis
+from .hilbert import CompositeBasis, frozen_array, level_counts
 from .model import ModelParams, hamiltonian, jump_operators
 
 
@@ -88,3 +92,37 @@ def build_liouvillian(params: ModelParams, basis: CompositeBasis) -> Superoperat
     for left, o in channels:
         total += np.kron(left, o)
     return SuperoperatorMatrix(basis, total)
+
+
+@functools.lru_cache(maxsize=None)
+def sector_indices(n_max: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries rho[i, j] with N_i - N_j = k: ket indices I, bra indices J and vec positions.
+
+    N is photons plus excitons. Vec position p holds rho[p % d, p // d]; the
+    positions come out ascending. The arrays are read-only.
+    """
+    excitations = level_counts(n_max).sum(axis=0)
+    d = excitations.size
+    bra, ket = np.divmod(np.arange(d * d), d)
+    keep = excitations[ket] - excitations[bra] == k
+    return (frozen_array(ket[keep], np.intp), frozen_array(bra[keep], np.intp),
+            frozen_array(np.flatnonzero(keep), np.intp))
+
+
+def sector_block(params: ModelParams, basis: CompositeBasis, k: int) -> np.ndarray:
+    """Sector k of the generator, built from K without the dense d^2 x d^2 matrix.
+
+    Entry (I, J), (I', J') is
+    delta_JJ' K[I, I'] + delta_II' conj(K)[J, J'] + sum_c (r_c conj(O_c))[J, J'] O_c[I, I'],
+    summed in build_liouvillian's order, so the block equals
+    build_liouvillian(params, basis).entries[np.ix_(s, s)] exactly, s being
+    the sector's vec positions.
+    """
+    kmat, channels = effective_hamiltonian(params, basis)
+    ket, bra, _ = sector_indices(basis.n_max, k)
+    kets, bras = np.ix_(ket, ket), np.ix_(bra, bra)
+    block = np.where(bra[:, None] == bra[None, :], kmat[kets], 0.0)
+    block += np.where(ket[:, None] == ket[None, :], kmat.conj()[bras], 0.0)
+    for left, o in channels:
+        block += left[bras] * o[kets]
+    return block

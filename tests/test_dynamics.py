@@ -249,3 +249,31 @@ def test_default_grids(laucht):
     assert len(grid) == 2001
     assert grid[0] == pytest.approx(laucht.omega0 - 3.0)
     assert grid[-1] == pytest.approx(laucht.omega0 + 3.0)
+
+
+@pytest.mark.parametrize("n_max", [3, 5])
+def test_sector_spectrum_matches_dense_resolvent(laucht, n_max):
+    # I(w) = (kappa/pi) Re Tr[a (-L - i w)^{-1} (rho a^dag)] on the full generator,
+    # one linear solve per frequency and no eigendecomposition
+    basis = CompositeBasis(n_max)
+    lop = build_liouvillian(laucht, basis)
+    rho = steady_state(lop).entries
+    a = annihilation(basis).entries
+    seed = (rho @ a.conj().T).reshape(-1, order="F")
+    row = a.ravel(order="C")
+    omegas = np.linspace(laucht.omega0 - 3.0, laucht.omega0 + 3.0, 41)
+    eye = np.eye(basis.dim**2)
+    want = np.array([
+        laucht.kappa / np.pi * (row @ np.linalg.solve(-lop.entries - 1j * w * eye, seed)).real
+        for w in omegas
+    ])
+    got = pl_spectrum(laucht, omegas, n_max=n_max).intensities
+    assert np.abs(got - want).max() < 1e-9 * np.abs(want).max()
+
+
+def test_sector_spectrum_poles_are_generator_eigenvalues(laucht):
+    basis = CompositeBasis(3)
+    eigs = np.linalg.eigvals(build_liouvillian(laucht, basis).entries)
+    poles = pl_spectrum(laucht, n_max=3).poles
+    assert poles.size > 0
+    assert max(np.abs(eigs - pole).min() for pole in poles) < 1e-9

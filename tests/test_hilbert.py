@@ -14,6 +14,7 @@ from dqdcavity import (
     annihilation,
     qubit_lowering,
 )
+from dqdcavity.hilbert import level_counts
 
 import oracles
 
@@ -137,3 +138,11 @@ def test_record_arrays_are_frozen_copies(kind):
 def test_qubit_lowering_requires_valid_dot():
     with pytest.raises(ValueError):
         qubit_lowering(CompositeBasis(1), 3)
+
+
+def test_level_counts_are_the_number_operator_diagonals():
+    a, s1, s2 = oracles.index_built_operators(3)
+    counts = level_counts(3)
+    assert not counts.flags.writeable
+    for row, op in zip(counts, (a, s1, s2)):
+        assert np.array_equal(row, np.rint(np.diag(op.conj().T @ op).real))

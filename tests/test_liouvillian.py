@@ -16,6 +16,7 @@ from dqdcavity import (
     unvec,
     vec,
 )
+from dqdcavity.liouvillian import sector_block, sector_indices
 
 import oracles
 
@@ -167,3 +168,44 @@ def test_generator_entries_are_read_only_and_shape_checked(laucht):
         lop.entries[0, 0] = 1.0
     with pytest.raises(ValueError):
         SuperoperatorMatrix(basis, np.zeros((3, 3), dtype=complex))
+
+
+def _random_params(rng, *, gains=True, zeta=True):
+    u = lambda lo, hi: float(rng.uniform(lo, hi))
+    return ModelParams(
+        omega0=u(1.0, 2.0), omega1=u(1.0, 1.5), omega2=u(1.5, 2.0), tunneling_T=u(0.0, 0.5),
+        g1=u(0.0, 0.5), g2=u(0.0, 0.5), gamma1=u(0.01, 0.3), gamma2=u(0.01, 0.3),
+        pump1=u(0.01, 0.3) if gains else 0.0, pump2=u(0.01, 0.3) if gains else 0.0,
+        cavity_pump=u(0.01, 0.1) if gains else 0.0, kappa=u(0.3, 1.0),
+        zeta=u(0.01, 0.3) if zeta else 0.0, temperature=u(1.0, 10.0),
+    )
+
+
+def test_sector_indices_partition_the_vec_positions():
+    # every rho[i, j] belongs to exactly one sector k = N_i - N_j, listed in vec order
+    a, s1, s2 = oracles.index_built_operators(2)
+    n = np.rint(np.diag(a.conj().T @ a + s1.conj().T @ s1 + s2.conj().T @ s2).real)
+    d = n.size
+    seen = []
+    for k in range(-4, 5):
+        ket, bra, pos = sector_indices(2, k)
+        assert not (ket.flags.writeable or bra.flags.writeable or pos.flags.writeable)
+        assert np.all(n[ket] - n[bra] == k)
+        labels = np.arange(d * d).reshape(d, d)
+        assert np.array_equal(vec(labels)[pos], labels[ket, bra])
+        assert np.all(np.diff(pos) > 0)
+        seen.extend(pos)
+    assert sorted(seen) == list(range(d * d))
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("gains", [False, True], ids=["gains-off-zeta-0", "all-channels"])
+def test_sector_block_equals_dense_slice_exactly(n_max, gains):
+    rng = np.random.default_rng(40 + n_max)
+    basis = CompositeBasis(n_max)
+    for _ in range(3):
+        p = _random_params(rng, gains=gains, zeta=gains)
+        dense = build_liouvillian(p, basis).entries
+        for k in range(-2, 3):
+            _, _, pos = sector_indices(n_max, k)
+            assert np.array_equal(sector_block(p, basis, k), dense[np.ix_(pos, pos)])

@@ -6,6 +6,8 @@ from dqdcavity import (
     CompositeBasis,
     DegenerateSteadyStateError,
     ModelParams,
+    SteadyStateConvergenceError,
+    SuperoperatorMatrix,
     annihilation,
     build_liouvillian,
     expectation,
@@ -17,6 +19,7 @@ from dqdcavity import (
     steady_state,
     vec,
 )
+from dqdcavity.steadystate import number_moments, sector_steady_state
 
 import oracles
 
@@ -127,3 +130,44 @@ def test_density_matrix_frozen_and_expectation_checked(laucht):
     assert expectation(rho, s1.dag() @ s1).real == pytest.approx(
         steady_observables(laucht, n_max=1)["n_qd1"], rel=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "name, n_max", [("laucht-strong", 1), ("laucht-strong", 2), ("fig3-right", 3)],
+    ids=["laucht-strong-1", "laucht-strong-2", "fig3-right-3"],
+)
+def test_sector_routes_agree_bit_for_bit_and_match_null_vector(name, n_max):
+    # slicing k = 0 out of the dense generator and building it from K feed the
+    # same block to the same LU; the SVD null vector of the oracle generator
+    # shares neither the block nor the solver
+    p = preset(name)
+    basis = CompositeBasis(n_max)
+    sliced = steady_state(build_liouvillian(p, basis))
+    from_k = sector_steady_state(p, basis)
+    assert np.array_equal(sliced.entries, from_k.entries)
+    want = oracles.null_vector_state(_oracle_generator(p, basis))
+    assert np.abs(from_k.entries - want).max() < 1e-12
+
+
+def test_number_moments_match_operator_expectations(laucht):
+    basis = CompositeBasis(3)
+    rho = sector_steady_state(laucht, basis)
+    a = annihilation(basis)
+    s1, s2 = qubit_lowering(basis, 1), qubit_lowering(basis, 2)
+    ops = (a.dag() @ a, s1.dag() @ s1, s2.dag() @ s2, a.dag() @ a.dag() @ a @ a)
+    want = [expectation(rho, op).real for op in ops]
+    assert np.allclose(number_moments(rho), want, rtol=1e-13, atol=0.0)
+
+
+def test_generator_that_breaks_n_is_refused(laucht):
+    # a coherent cavity drive -i[a + a^dag, .] couples k = 0 to k = +-1, which
+    # the k = 0 solve never sees; only the residual on the whole generator does
+    basis = CompositeBasis(2)
+    a = annihilation(basis).entries
+    h = 0.1 * (a + a.conj().T)
+    eye = np.eye(basis.dim)
+    drive = np.kron(eye, -1j * h) + np.kron(1j * h.T, eye)
+    lop = build_liouvillian(laucht, basis)
+    steady_state(lop)  # the undriven generator passes
+    with pytest.raises(SteadyStateConvergenceError, match=r"\|\|L\|\|"):
+        steady_state(SuperoperatorMatrix(basis, lop.entries + drive))
