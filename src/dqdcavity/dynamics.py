@@ -20,7 +20,7 @@ import scipy.linalg
 from .errors import BasisMismatchError, DiagonalizationError, UndefinedObservableError
 from .hilbert import CompositeBasis, OperatorMatrix, annihilation, frozen_array
 from .liouvillian import SuperoperatorMatrix, build_liouvillian, sector_block, sector_indices, vec
-from .model import ModelParams
+from .model import ModelParams, model_terms
 from .steadystate import DensityMatrix, number_moments, sector_steady_state, steady_state
 
 # relative residue cutoff; modes this far below the strongest carry no weight
@@ -229,7 +229,7 @@ def pl_spectrum(
     basis = CompositeBasis(n_max)
     rho = sector_steady_state(params, basis)
     ket, bra, _ = sector_indices(n_max, 1)
-    a = annihilation(basis).entries
+    a = model_terms(n_max)[2]["kappa"]  # the cavity-loss operator
     seed = (rho.entries @ a.conj().T)[ket, bra]
     obs_row = a.T[ket, bra]  # Tr[a X] reads X[i, j] with a[j, i]
     weights, lams = _mode_weights(sector_block(params, basis, 1), seed, obs_row)

@@ -1,15 +1,14 @@
 """Vectorized Liouvillian superoperator in the column-stacking convention.
 
 A density matrix rho maps to a vector with rho[i, j] at index j*d + i
-(numpy order='F'). Under that stacking, vec(A X B) = kron(B^T, A) vec(X), so
-with the effective non-Hermitian Hamiltonian K = -iH - sum_k r_k O_k^dag O_k / 2
-the Lindblad generator K rho + rho K^dag + sum_k r_k O_k rho O_k^dag is
-kron(I, K) + kron(conj(K), I) + sum_k kron(r_k conj(O_k), O_k). K keeps
-N = photons + excitons and each O_k shifts N equally on both sides of rho, so
-the generator is block-diagonal in k = N_ket - N_bra. Every result needs only
-one such sector (k = 0 for the steady state, k = +1 for the emission spectrum),
-and sector_block assembles it from K alone, entry for entry equal to the
-matching slice of the dense generator.
+(numpy order='F'). The generator -i[H, .] + sum_k r_k D[O_k] keeps
+N = photons + excitons on both sides of rho, so it is block-diagonal in
+k = N_ket - N_bra; a result needs one sector (k = 0 for the steady state,
+k = +1 for the emission spectrum). It is also linear in the coefficients of
+model.model_terms: sector_block is the diagonal -i(E[ket] - E[bra]) of the
+bare energies E plus each other term's coefficient times a block fixed per
+(n_max, k) and cached. build_liouvillian scatters every sector into a
+d^2 x d^2 array of zeros, so its slices are the sector blocks exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import CompositeBasis, frozen_array, level_counts
-from .model import ModelParams, hamiltonian, jump_operators
+from .model import ModelParams, coefficients, hamiltonian, jump_operators, model_terms
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -80,17 +79,16 @@ def effective_hamiltonian(
 
 
 def build_liouvillian(params: ModelParams, basis: CompositeBasis) -> SuperoperatorMatrix:
-    """Generator kron(I, K) + kron(conj(K), I) + sum_k kron(r_k conj(O_k), O_k).
+    """Generator -i[H, .] + sum_k r_k D[O_k], every sector_block scattered into zeros.
 
-    This is -i[H, .] + sum_k r_k D[O_k] with K from effective_hamiltonian,
-    where D[O] rho = O rho O^dag - {O^dag O, rho}/2 is the Lindblad dissipator.
+    D[O] rho = O rho O^dag - {O^dag O, rho}/2 is the Lindblad dissipator.
     """
-    k, channels = effective_hamiltonian(params, basis)
-    eye = np.eye(basis.dim)
-    total = np.kron(eye, k)
-    total += np.kron(k.conj(), eye)
-    for left, o in channels:
-        total += np.kron(left, o)
+    d2 = basis.dim ** 2
+    total = np.zeros((d2, d2), dtype=complex)
+    top = int(level_counts(basis.n_max).sum(axis=0).max())
+    for k in range(-top, top + 1):
+        _, _, pos = sector_indices(basis.n_max, k)
+        total[np.ix_(pos, pos)] = sector_block(params, basis, k)
     return SuperoperatorMatrix(basis, total)
 
 
@@ -109,20 +107,39 @@ def sector_indices(n_max: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
             frozen_array(np.flatnonzero(keep), np.intp))
 
 
-def sector_block(params: ModelParams, basis: CompositeBasis, k: int) -> np.ndarray:
-    """Sector k of the generator, built from K without the dense d^2 x d^2 matrix.
+@functools.lru_cache(maxsize=None)
+def _sector_terms(n_max: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat positions of the union pattern and values[term] there, for sector k.
 
-    Entry (I, J), (I', J') is
-    delta_JJ' K[I, I'] + delta_II' conj(K)[J, J'] + sum_c (r_c conj(O_c))[J, J'] O_c[I, I'],
-    summed in build_liouvillian's order, so the block equals
-    build_liouvillian(params, basis).entries[np.ix_(s, s)] exactly, s being
-    the sector's vec positions.
+    Term O adds delta_JJ' Q[I, I'] + delta_II' conj(Q)[J, J'] at (I, J), (I', J'):
+    Q = -iO for a coupling, Q = -O^dag O / 2 plus conj(O)[J, J'] O[I, I'] for a channel.
     """
-    kmat, channels = effective_hamiltonian(params, basis)
-    ket, bra, _ = sector_indices(basis.n_max, k)
+    ket, bra, _ = sector_indices(n_max, k)
+    _, couplings, channels = model_terms(n_max)
     kets, bras = np.ix_(ket, ket), np.ix_(bra, bra)
-    block = np.where(bra[:, None] == bra[None, :], kmat[kets], 0.0)
-    block += np.where(ket[:, None] == ket[None, :], kmat.conj()[bras], 0.0)
-    for left, o in channels:
-        block += left[bras] * o[kets]
+    same_bra, same_ket = bra[:, None] == bra[None, :], ket[:, None] == ket[None, :]
+    terms = [(-1j * o, None) for o in couplings.values()]
+    terms += [(-0.5 * (o.conj().T @ o), o) for o in channels.values()]
+
+    def block(q, o):
+        b = np.where(same_bra, q[kets], 0.0) + np.where(same_ket, q.conj()[bras], 0.0)
+        return (b if o is None else b + o.conj()[bras] * o[kets]).reshape(-1)
+
+    # one block at a time: the first call may run on every sweep thread at once
+    flat = np.flatnonzero(functools.reduce(np.logical_or, (block(*t) != 0.0 for t in terms)))
+    return frozen_array(flat, np.intp), frozen_array([block(*t)[flat] for t in terms], complex)
+
+
+def sector_block(params: ModelParams, basis: CompositeBasis, k: int) -> np.ndarray:
+    """Sector k of the generator as a fresh array, its terms summed elementwise in a fixed order."""
+    ket, bra, _ = sector_indices(basis.n_max, k)
+    flat, values = _sector_terms(basis.n_max, k)
+    energies, couplings, channels = model_terms(basis.n_max)
+    coefs = coefficients(params, [*energies, *couplings, *channels])
+    # summed as in hamiltonian, whose couplings add exact zeros on the diagonal
+    e = sum(c * op.diagonal().real for c, op in zip(coefs, energies.values()))
+    block = np.diag(-1j * (e[ket] - e[bra]))
+    # real coefficients on the (re, im) pairs of the values, summed term after term
+    terms = np.einsum("c,cn->n", coefs[len(energies):], values.view(float)).view(complex)
+    block.reshape(-1)[flat] += terms
     return block

@@ -2,16 +2,21 @@
 
 All energies and rates are in meV (hbar = 1), temperatures in kelvin. With these
 units one time unit equals hbar/meV ~ 0.6582 ps.
+The model is written once, as model_terms: every Hamiltonian and Lindblad
+term is a coefficient name paired with an operator built once per cutoff.
+hamiltonian, jump_operators and the generator are read off that table.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .hilbert import CompositeBasis, OperatorMatrix, annihilation, qubit_lowering
+from .hilbert import CompositeBasis, OperatorMatrix, annihilation, frozen_array, qubit_lowering
 
 BOLTZMANN_MEV_PER_K = 0.08617333
 
@@ -176,18 +181,44 @@ def phat_rates(params: ModelParams) -> PhatRates:
     return PhatRates(gamma_t, p_t, n_th, delta)
 
 
-def hamiltonian(params: ModelParams, basis: CompositeBasis) -> OperatorMatrix:
-    """System Hamiltonian (meV): bare energies, coherent tunneling, dot-cavity exchange.
+@functools.lru_cache(maxsize=None)
+def model_terms(n_max: int) -> tuple[MappingProxyType, ...]:
+    """The model, written once: (energies, couplings, channels), built once per cutoff.
 
-    Built term by term from symmetric pairs so Hermiticity holds exactly.
+    Each maps a coefficient name (a ModelParams field, or a PhatRates field for
+    gamma_T and p_T) to a read-only operator: the bare energies' number operators,
+    the Hermitian couplings, and the collapse operators in jump_operators' order.
     """
+    basis = CompositeBasis(n_max)
     a = annihilation(basis).entries
     s1 = qubit_lowering(basis, 1).entries
     s2 = qubit_lowering(basis, 2).entries
     ad, s1d, s2d = a.conj().T, s1.conj().T, s2.conj().T
-    h = params.omega1 * (s1d @ s1) + params.omega2 * (s2d @ s2) + params.omega0 * (ad @ a)
-    h = h + params.tunneling_T * (s1d @ s2 + s2d @ s1)
-    h = h + params.g1 * (s1d @ a + ad @ s1) + params.g2 * (s2d @ a + ad @ s2)
+    terms = (
+        {"omega1": s1d @ s1, "omega2": s2d @ s2, "omega0": ad @ a},
+        {"tunneling_T": s1d @ s2 + s2d @ s1, "g1": s1d @ a + ad @ s1, "g2": s2d @ a + ad @ s2},
+        {"gamma1": s1, "gamma2": s2, "pump1": s1d, "pump2": s2d, "cavity_pump": ad, "kappa": a,
+         "gamma_T": s1d @ s2, "p_T": s2d @ s1},
+    )
+    return tuple(MappingProxyType({name: frozen_array(op, complex) for name, op in group.items()})
+                 for group in terms)
+
+
+def coefficients(params: ModelParams, names) -> list[float]:
+    """The coefficients that model_terms names, read off params and its PhAT rates."""
+    rates = phat_rates(params)
+    return [getattr(rates if name in ("gamma_T", "p_T") else params, name) for name in names]
+
+
+def hamiltonian(params: ModelParams, basis: CompositeBasis) -> OperatorMatrix:
+    """System Hamiltonian (meV): bare energies, coherent tunneling, dot-cavity exchange.
+
+    Summed term by term from model_terms; every term is exactly symmetric, so
+    H is exactly Hermitian, and its diagonal is the bare energies alone.
+    """
+    energies, couplings, _ = model_terms(basis.n_max)
+    terms = {**energies, **couplings}
+    h = sum(c * op for c, op in zip(coefficients(params, terms), terms.values()))
     return OperatorMatrix(basis, h)
 
 
@@ -198,18 +229,6 @@ def jump_operators(params: ModelParams, basis: CompositeBasis) -> list[tuple[flo
     decay, then the two PhAT transfer channels. Channels with zero rate are
     omitted.
     """
-    a = annihilation(basis)
-    s1 = qubit_lowering(basis, 1)
-    s2 = qubit_lowering(basis, 2)
-    rates = phat_rates(params)
-    channels = [
-        (params.gamma1, s1),
-        (params.gamma2, s2),
-        (params.pump1, s1.dag()),
-        (params.pump2, s2.dag()),
-        (params.cavity_pump, a.dag()),
-        (params.kappa, a),
-        (rates.gamma_T, s1.dag() @ s2),
-        (rates.p_T, s2.dag() @ s1),
-    ]
-    return [(rate, op) for rate, op in channels if rate != 0.0]
+    channels = model_terms(basis.n_max)[2]
+    rates = coefficients(params, channels)
+    return [(r, OperatorMatrix(basis, o)) for r, o in zip(rates, channels.values()) if r != 0.0]

@@ -1,9 +1,9 @@
 """Grid sweeps over model parameters with per-point fault isolation.
 
-A sweep point is a pure function of (params, n_max); points run serially or on
-a thread pool and either way land in the same coordinate-ordered table, so a
-sweep is reproducible bit for bit. A point that fails (for example zeta > 0
-with zero detuning) is recorded as an error row, never an abort.
+A sweep point is a pure function of (params, n_max); points run serially or
+in one contiguous chunk per thread and either way land in the same
+coordinate-ordered table, so a sweep is reproducible bit for bit. A point that
+fails (for example zeta > 0 with zero detuning) is an error row, never an abort.
 """
 
 from __future__ import annotations
@@ -131,13 +131,15 @@ def csv_table(header, rows) -> str:
 
 
 def _map(fn, tasks: list, parallelism: int) -> list:
-    """[fn(t) for t in tasks], in the calling thread at parallelism 1, else on a thread pool."""
+    """[fn(t) for t in tasks]; above parallelism 1, each thread runs one contiguous chunk."""
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     if parallelism == 1:
         return [fn(t) for t in tasks]
+    bounds = [len(tasks) * i // parallelism for i in range(parallelism + 1)]
+    chunks = [tasks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(fn, tasks))
+        return [out for chunk in pool.map(lambda c: [fn(t) for t in c], chunks) for out in chunk]
 
 
 def evaluate_point(spec: SweepSpec, value1: float, value2: float) -> dict:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,18 +7,24 @@ from dqdcavity import (
     CompositeBasis,
     ModelParams,
     SuperoperatorMatrix,
+    SweepAxis,
+    SweepSpec,
     annihilation,
     build_liouvillian,
+    evaluate_point,
     hamiltonian,
     jump_operators,
     phat_rates,
+    pl_spectrum,
     preset,
     qubit_lowering,
     trace_functional,
     unvec,
     vec,
 )
-from dqdcavity.liouvillian import sector_block, sector_indices
+from dqdcavity.liouvillian import _sector_terms, sector_block, sector_indices
+from dqdcavity.model import model_terms
+from dqdcavity.steadystate import sector_steady_state
 
 import oracles
 
@@ -209,3 +217,47 @@ def test_sector_block_equals_dense_slice_exactly(n_max, gains):
         for k in range(-2, 3):
             _, _, pos = sector_indices(n_max, k)
             assert np.array_equal(sector_block(p, basis, k), dense[np.ix_(pos, pos)])
+
+
+def test_term_cache_is_read_only_small_and_never_handed_out():
+    # every cached array is frozen; sector_block hands out a fresh, writeable copy
+    n_max = 7
+    basis = CompositeBasis(n_max)
+    p = _random_params(np.random.default_rng(50))
+    for group in model_terms(n_max):
+        assert all(not op.flags.writeable for op in group.values())
+        with pytest.raises(TypeError):
+            group["kappa"] = None
+    cached = 0
+    for k in range(-(n_max + 2), n_max + 3):
+        arrays = _sector_terms(n_max, k)
+        assert not any(arr.flags.writeable for arr in arrays)
+        cached += sum(arr.nbytes for arr in arrays)
+        first, second = sector_block(p, basis, k), sector_block(p, basis, k)
+        assert first.flags.writeable and np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        assert not any(np.shares_memory(first, arr) for arr in arrays)
+    assert cached < 4 * 2**20
+
+
+def test_warm_caches_build_no_operators(monkeypatch):
+    # after one warm-up call no result path may rebuild a, sigma1 or sigma2
+    spec = SweepSpec(_ALL_CHANNELS, SweepAxis("tunneling_T", 0.1, 1.0, 2),
+                     SweepAxis("zeta", 0.01, 0.1, 2), observables=("n_cavity", "g2_zero"), n_max=2)
+    basis = CompositeBasis(2)
+    sector_steady_state(_ALL_CHANNELS, basis)
+    pl_spectrum(_ALL_CHANNELS, n_max=2)
+    evaluate_point(spec, 0.1, 0.01)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("operator rebuilt on a warm cache")
+
+    bound = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "dqdcavity"]
+    for module in bound:
+        for name in ("annihilation", "qubit_lowering"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    point = _ALL_CHANNELS.replace(tunneling_T=0.45, zeta=0.07)
+    sector_steady_state(point, basis)
+    pl_spectrum(point, n_max=2)
+    assert evaluate_point(spec, 0.45, 0.07)["status"] == "ok"

@@ -263,3 +263,18 @@ def test_panel_csv_writers(laucht):
     lrows = lines_text.split("\r\n")
     assert lrows[0] == "tunneling_T,zeta,line_index,frequency_mev,offset_mev,hwhm_mev"
     assert len([r for r in lrows if r]) == 1 + 3
+
+
+def test_rows_do_not_depend_on_chunking(laucht):
+    # 15 points split into 2, 3, 4 and 7 contiguous chunks, most of them uneven
+    spec = SweepSpec(
+        params=laucht,
+        axis1=_axis(start=1e-3, stop=10.0, count=5),
+        axis2=_axis("zeta", start=1e-3, stop=10.0, count=3),
+        observables=("n_cavity", "g2_zero", "transition_lines"), n_max=1,
+    )
+    serial = run_sweep(spec, parallelism=1)
+    for parallelism in (2, 3, 4, 7):
+        chunked = run_sweep(spec, parallelism=parallelism)
+        assert chunked.rows == serial.rows
+        assert chunked.to_csv() == serial.to_csv()
