@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -124,7 +125,9 @@ def _add_io_args(p: _Parser, default_format: str):
                    help="output format (default %(default)s)")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process; parse_args leaves it unchanged, so every call shares it."""
     parser = _Parser(prog="dqdcavity",
                      description="Double-dot + cavity Lindblad simulator")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -323,7 +326,7 @@ def _cmd_spectrum(ns: argparse.Namespace, params: ModelParams) -> int:
     }
     _emit(ns, params, data, lambda: csv_table(
         ["omega_mev", "offset_mev", "intensity"],
-        zip(data["omega_mev"], data["offset_mev"], data["intensity"]),
+        [(data["omega_mev"], data["offset_mev"], data["intensity"])],
     ))
     return 0
 

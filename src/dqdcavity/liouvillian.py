@@ -65,17 +65,13 @@ class SuperoperatorMatrix:
         return float(np.abs(self.entries).sum(axis=1).max())
 
 
-def effective_hamiltonian(
-    params: ModelParams, basis: CompositeBasis
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """K = -iH - sum_k r_k O_k^dag O_k / 2 and the (r_k conj(O_k), O_k) jump pairs."""
+def effective_hamiltonian(params: ModelParams, basis: CompositeBasis) -> np.ndarray:
+    """K = -iH - sum_k r_k O_k^dag O_k / 2."""
     k = -1j * hamiltonian(params, basis).entries
-    channels = []
     for rate, op in jump_operators(params, basis):
         o = op.entries
         k -= 0.5 * rate * (o.conj().T @ o)
-        channels.append((rate * o.conj(), o))
-    return k, channels
+    return k
 
 
 def build_liouvillian(params: ModelParams, basis: CompositeBasis) -> SuperoperatorMatrix:

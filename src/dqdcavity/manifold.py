@@ -76,7 +76,7 @@ def transition_matrix_generic(params: ModelParams, basis: CompositeBasis) -> np.
     the block is K on the one-excitation kets. Must agree with
     transition_matrix_explicit to machine precision.
     """
-    k, _ = effective_hamiltonian(_gains_off(params), basis)
+    k = effective_hamiltonian(_gains_off(params), basis)
     _, one = _manifold_indices(basis)
     return k[np.ix_(one, one)]
 

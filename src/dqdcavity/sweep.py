@@ -8,10 +8,9 @@ fails (for example zeta > 0 with zero detuning) is an error row, never an abort.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import datetime
-import io
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -109,25 +108,77 @@ class SweepResult:
     metadata: dict
 
     def to_csv(self) -> str:
-        return csv_table(self.columns, ([row[c] for c in self.columns] for row in self.rows))
+        return csv_table(self.columns, [[[row[c] for row in self.rows] for c in self.columns]])
+
+
+# characters that make csv.writer quote a cell (its delimiter, quote char and line terminator)
+_QUOTED = frozenset(',"\r\n')
 
 
 def _format_cell(value) -> str:
+    """One cell as csv.writer writes it: a float at full double precision, None empty.
+
+    A formatted float never holds a delimiter, quote or line break, so only
+    other values can need csv.writer's minimal quoting.
+    """
     if value is None:
         return ""
     if isinstance(value, float):
         return format(value, ".17g")
-    return str(value)
+    text = str(value)
+    if _QUOTED.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
-def csv_table(header, rows) -> str:
-    """CSV text of a header row and data rows; floats at full double precision, None empty."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_format_cell(v) for v in row])
-    return buf.getvalue()
+def _format_column(column):
+    """The cells of a list or array column; any other value is one cell.
+
+    An array goes through .tolist() first, so its floats format as Python floats.
+    """
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    elif not isinstance(column, list):
+        return _format_cell(column)
+    return list(map(_format_cell, column))
+
+
+def _block_text(cells: list) -> str:
+    """CSV lines of one block of formatted columns, each ended by CRLF as csv.writer ends it."""
+    lengths = {len(c) for c in cells if isinstance(c, list)}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of one block differ in length: {sorted(lengths)}")
+    rows = lengths.pop() if lengths else 1
+    if rows == 0:
+        return ""
+    lines = map(",".join, zip(*(c if isinstance(c, list) else [c] * rows for c in cells)))
+    if len(cells) == 1:  # csv.writer quotes a lone empty cell so that its row is not blank
+        lines = (line or '""' for line in lines)
+    return "\r\n".join(lines) + "\r\n"
+
+
+def csv_table(header, blocks) -> str:
+    """CSV text of a header row and blocks of rows, each block given column by column.
+
+    A block holds one entry per column: a list or array of the column's
+    cells, or a single cell repeated on every row of the block, so a block of
+    single cells is one row. Each column is formatted once, and a
+    column object that the previous block also held is not formatted again.
+    The text is what csv.writer writes for the same rows with each float cell
+    formatted as format(v, ".17g") and each None as "".
+    """
+    parts = []
+    prev_block, prev_cells = (), []
+    for block in itertools.chain([header], blocks):
+        block = tuple(block)
+        cells = [
+            prev_cells[j] if j < len(prev_block) and column is prev_block[j]
+            else _format_column(column)
+            for j, column in enumerate(block)
+        ]
+        parts.append(_block_text(cells))
+        prev_block, prev_cells = block, cells
+    return "".join(parts)
 
 
 def _map(fn, tasks: list, parallelism: int) -> list:
@@ -252,14 +303,22 @@ def run_spectra_panel(
 
 
 def panel_spectra_csv(panel: SpectraPanel) -> str:
-    """Long-format table (zeta, omega, offset, intensity) for one panel."""
-    rows = (
-        (float(panel.tunneling), float(z), float(w), float(off), float(inten))
-        for z, status, spectrum in zip(panel.zetas, panel.statuses, panel.spectra)
-        if status == "ok" and spectrum is not None
-        for w, off, inten in zip(spectrum.frequencies, spectrum.offsets, spectrum.intensities)
-    )
-    return csv_table(["tunneling_T", "zeta", "omega_mev", "offset_mev", "intensity"], rows)
+    """Long-format table (zeta, omega, offset, intensity) for one panel.
+
+    One block per spectrum; spectra whose grids match the previous one bit
+    for bit hand csv_table the same grid arrays, so a panel on one grid
+    formats it once.
+    """
+    blocks = []
+    grid = None
+    for z, status, spectrum in zip(panel.zetas, panel.statuses, panel.spectra):
+        if status != "ok" or spectrum is None:
+            continue
+        new_grid = (spectrum.frequencies, spectrum.offsets)
+        if grid is None or any(a.tobytes() != b.tobytes() for a, b in zip(grid, new_grid)):
+            grid = new_grid
+        blocks.append((float(panel.tunneling), float(z), *grid, spectrum.intensities))
+    return csv_table(["tunneling_T", "zeta", "omega_mev", "offset_mev", "intensity"], blocks)
 
 
 def panel_lines_csv(panel: SpectraPanel) -> str:

@@ -42,6 +42,7 @@ CASES = {
     "spectrum_csv": (["spectrum", *_SMALL, "--omega-points", "201",
                       "--out", "{d}/spectrum.csv"], None),
     "spectrum_json": (["spectrum", *_SMALL, "--omega-points", "201", "--format", "json"], None),
+    "spectrum_default_csv": (["spectrum", *_SMALL, "--out", "{d}/spectrum.csv"], None),
     "spectrum_normalized_csv": (["spectrum", *_SMALL, "--omega-points", "201", "--normalize",
                                  "--out", "{d}/spectrum.csv"], None),
     "spectrum_normalized_json": (["spectrum", *_SMALL, "--omega-points", "201", "--normalize",

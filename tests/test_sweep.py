@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from dqdcavity import (
+    SpectraPanel,
+    SpectrumResult,
     SweepAxis,
     SweepSpec,
+    TransitionLine,
     default_omega_grid,
     evaluate_point,
     find_spectrum_peaks,
@@ -17,6 +20,7 @@ from dqdcavity import (
     run_sweep,
     transition_lines,
 )
+from dqdcavity.sweep import csv_table
 
 
 def _axis(name="tunneling_T", start=0.01, stop=1.0, count=3):
@@ -278,3 +282,100 @@ def test_rows_do_not_depend_on_chunking(laucht):
         chunked = run_sweep(spec, parallelism=parallelism)
         assert chunked.rows == serial.rows
         assert chunked.to_csv() == serial.to_csv()
+
+
+def _writer_csv(rows) -> str:
+    """Reference: csv.writer, with floats as format(v, ".17g") and None as ""."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for row in rows:
+        writer.writerow(
+            ["" if v is None else format(v, ".17g") if isinstance(v, float) else v for v in row]
+        )
+    return buf.getvalue()
+
+
+_AWKWARD_CELLS = (
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e300, 0.1, None, 7, -3,
+    "a,b", 'say "hi"', "two\nlines", "cr\rhere", '",\r\n', " padded ", "plain", "",
+)
+
+
+def test_csv_table_matches_csv_writer():
+    header = ("value", "index", "note,with comma")
+    rows = [(v, k, f"{v!r}") for k, v in enumerate(_AWKWARD_CELLS)]
+    expected = _writer_csv([header, *rows])
+    assert csv_table(header, rows) == expected  # one row per block
+    assert csv_table(header, [[list(c) for c in zip(*rows)]]) == expected  # one block of columns
+
+
+def test_csv_table_blocks_of_arrays_and_repeated_cells():
+    grid = np.array([-0.0, 0.0, 5e-324, 1e300, np.nan, -np.inf, 0.1])
+    twin = grid.copy()
+    blocks = [
+        (1.5, grid, grid * 2),
+        ("x,y", grid, np.arange(7.0)),  # same grid object: formatted once, cells unchanged
+        (None, twin, grid[::-1]),
+        (-0.0, twin, [None, 1, "q\"", 2.5, float("nan"), -0.0, ""]),
+    ]
+    rows = [
+        (head, *cells)
+        for head, *columns in blocks
+        for cells in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    ]
+    header = ["head", "grid", "value"]
+    assert csv_table(header, blocks) == _writer_csv([header, *rows])
+
+
+def test_csv_table_edge_shapes():
+    # a lone empty cell is quoted so that its row is not blank
+    assert csv_table(["only"], [[[None, 1.0, ""]]]) == _writer_csv([["only"], [None], [1.0], [""]])
+    assert csv_table(["a", "b"], [([], np.array([]))]) == "a,b\r\n"
+    assert csv_table(["a", "b"], []) == "a,b\r\n"
+    with pytest.raises(ValueError, match="differ in length"):
+        csv_table(["a", "b"], [([1.0, 2.0], [1.0])])
+
+
+def _spectrum(grid: np.ndarray, offsets: np.ndarray, scale: float) -> SpectrumResult:
+    return SpectrumResult(
+        frequencies=grid, offsets=offsets, intensities=scale / (1.0 + offsets ** 2),
+        amplitudes=np.array([scale + 0j]), poles=np.array([-0.05 - 1j]), kappa=0.1, omega0=1.0,
+    )
+
+
+def test_panel_csv_skips_a_failed_middle_point():
+    grid = np.linspace(0.5, 1.5, 5)
+    offsets = grid - 1.0
+    shifted = np.linspace(0.25, 1.25, 5)
+    spectra = (
+        _spectrum(grid, offsets, 1.0),
+        None,
+        _spectrum(grid.copy(), offsets.copy(), 2.0),  # equal grid, other arrays
+        _spectrum(grid, np.where(offsets == 0.0, -0.0, offsets), 3.0),  # 0.0 -> -0.0 only
+        _spectrum(shifted, shifted - 1.0, 4.0),
+    )
+    line = TransitionLine(frequency=1.01, offset=0.01, hwhm=0.05, eigenvalue=-0.05 - 1.01j)
+    panel = SpectraPanel(
+        tunneling=0.55,
+        zetas=np.array([1e-3, 1e-2, 1e-1, 1.0, 10.0]),
+        statuses=("ok", "error:ValueError: omega1 != omega2", "ok", "ok", "ok"),
+        spectra=spectra,
+        lines=((line,), None, (line, line), (line,), (line,)),
+    )
+    ok = [k for k, status in enumerate(panel.statuses) if status == "ok"]
+    assert offsets[2] == 0.0  # the -0.0 spectrum really differs from the first in its bits
+    spectra_rows = [
+        (0.55, float(panel.zetas[k]), w, off, inten)
+        for k in ok
+        for w, off, inten in zip(spectra[k].frequencies.tolist(), spectra[k].offsets.tolist(),
+                                 spectra[k].intensities.tolist())
+    ]
+    header = ["tunneling_T", "zeta", "omega_mev", "offset_mev", "intensity"]
+    assert panel_spectra_csv(panel) == _writer_csv([header, *spectra_rows])
+    line_rows = [
+        (0.55, float(panel.zetas[k]), i, ln.frequency, ln.offset, ln.hwhm)
+        for k in ok
+        for i, ln in enumerate(panel.lines[k], start=1)
+    ]
+    header = ["tunneling_T", "zeta", "line_index", "frequency_mev", "offset_mev", "hwhm_mev"]
+    assert panel_lines_csv(panel) == _writer_csv([header, *line_rows])
