@@ -169,7 +169,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--observables", default="n_cavity,n_qd1,n_qd2",
                    help="comma list from n_cavity,n_qd1,n_qd2,g2_zero,transition_lines")
     p.add_argument("--parallelism", type=_at_least(1), default=1,
-                   help="worker threads (default 1)")
+                   help="threads, each solving one contiguous chunk of the grid in stacks; "
+                        "the output does not depend on it (default 1)")
 
     p = sub.add_parser("figures", help="write plot-ready data files")
     _add_model_args(p)
@@ -180,7 +181,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--zeta-points", type=_at_least(1), default=40,
                    help="zeta values per spectra panel (default %(default)s)")
     p.add_argument("--parallelism", type=_at_least(1), default=1,
-                   help="worker threads (default 1)")
+                   help="threads, each taking one contiguous chunk of a map's grid or a "
+                        "panel's points; the output does not depend on it (default 1)")
     return parser
 
 

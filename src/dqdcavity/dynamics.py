@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BasisMismatchError, DiagonalizationError, UndefinedObservableError
 from .hilbert import CompositeBasis, OperatorMatrix, annihilation, frozen_array
@@ -148,6 +147,8 @@ def _mode_weights(
 def _propagate_expm(
     l_entries: np.ndarray, seed: np.ndarray, obs_row: np.ndarray, taus: np.ndarray
 ) -> np.ndarray:
+    import scipy.linalg  # only this fallback needs it; the import costs more than the package
+
     values = np.empty(taus.shape, dtype=complex)
     order = np.argsort(taus, kind="stable")
     x = seed.astype(complex)

@@ -7,7 +7,8 @@ k = N_ket - N_bra; a result needs one sector (k = 0 for the steady state,
 k = +1 for the emission spectrum). It is also linear in the coefficients of
 model.model_terms: sector_block is the diagonal -i(E[ket] - E[bra]) of the
 bare energies E plus each other term's coefficient times a block fixed per
-(n_max, k) and cached. build_liouvillian scatters every sector into a
+(n_max, k) and cached; sector_blocks sums it for a stack of points at once,
+each block as if alone. build_liouvillian scatters every sector into a
 d^2 x d^2 array of zeros, so its slices are the sector blocks exactly.
 """
 
@@ -126,16 +127,34 @@ def _sector_terms(n_max: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return frozen_array(flat, np.intp), frozen_array([block(*t)[flat] for t in terms], complex)
 
 
-def sector_block(params: ModelParams, basis: CompositeBasis, k: int) -> np.ndarray:
-    """Sector k of the generator as a fresh array, its terms summed elementwise in a fixed order."""
-    ket, bra, _ = sector_indices(basis.n_max, k)
-    flat, values = _sector_terms(basis.n_max, k)
-    energies, couplings, channels = model_terms(basis.n_max)
-    coefs = coefficients(params, [*energies, *couplings, *channels])
+def term_coefficients(params: ModelParams, n_max: int) -> np.ndarray:
+    """Every model_terms coefficient of params, energies, couplings and channels in table order."""
+    energies, couplings, channels = model_terms(n_max)
+    return np.array(coefficients(params, [*energies, *couplings, *channels]), dtype=float)
+
+
+def sector_blocks(coefs: np.ndarray, n_max: int, k: int) -> np.ndarray:
+    """Sector k of the generator for each row of term_coefficients in coefs, as a fresh (P, m, m) stack.
+
+    Each block's terms are summed elementwise in a fixed order, so a block
+    does not depend on the other rows of its stack.
+    """
+    coefs = np.asarray(coefs, dtype=float)
+    ket, bra, _ = sector_indices(n_max, k)
+    flat, values = _sector_terms(n_max, k)
+    energies = model_terms(n_max)[0]
+    n_energies = len(energies)
     # summed as in hamiltonian, whose couplings add exact zeros on the diagonal
-    e = sum(c * op.diagonal().real for c, op in zip(coefs, energies.values()))
-    block = np.diag(-1j * (e[ket] - e[bra]))
+    e = sum(c[:, None] * op.diagonal().real for c, op in zip(coefs.T, energies.values()))
+    m = ket.size
+    blocks = np.zeros((len(coefs), m, m), dtype=complex)
+    blocks[:, np.arange(m), np.arange(m)] = -1j * (e[:, ket] - e[:, bra])
     # real coefficients on the (re, im) pairs of the values, summed term after term
-    terms = np.einsum("c,cn->n", coefs[len(energies):], values.view(float)).view(complex)
-    block.reshape(-1)[flat] += terms
-    return block
+    terms = np.einsum("pc,cn->pn", coefs[:, n_energies:], values.view(float), optimize=False)
+    blocks.reshape(len(coefs), -1)[:, flat] += terms.view(complex)
+    return blocks
+
+
+def sector_block(params: ModelParams, basis: CompositeBasis, k: int) -> np.ndarray:
+    """Sector k of params' generator as a fresh array: the one-point stack of sector_blocks."""
+    return sector_blocks(term_coefficients(params, basis.n_max)[None], basis.n_max, k)[0]

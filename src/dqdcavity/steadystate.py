@@ -4,8 +4,11 @@ The stationary state keeps the excitation number N = photons + excitons on
 both sides (k = N_ket - N_bra = 0), so it is solved on the k = 0 block alone:
 m = 52 unknowns instead of d^2 = 256 at n_max 3. steady_state slices that
 block out of a dense generator; sector_steady_state builds it straight from
-K. Both hand the same block to the same trace-row LU; steady_state, which
-may be handed any generator, also checks the residual on all of it.
+K, and sector_steady_states builds and solves a stack of points at once.
+Every route hands its blocks to one stacked solver, which inverts each
+trace-row system with numpy and takes the exact 1-norm condition number from
+the inverse; steady_state, which may be handed any generator, also checks
+the residual on all of it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (
     BasisMismatchError,
@@ -21,7 +23,12 @@ from .errors import (
     SteadyStateConvergenceError,
 )
 from .hilbert import CompositeBasis, OperatorMatrix, frozen_array, level_counts
-from .liouvillian import SuperoperatorMatrix, sector_block, sector_indices
+from .liouvillian import (
+    SuperoperatorMatrix,
+    sector_blocks,
+    sector_indices,
+    term_coefficients,
+)
 # bound here only because perfbench/tracing.py patches them under these names
 from .hilbert import annihilation, qubit_lowering  # noqa: F401
 from .liouvillian import build_liouvillian  # noqa: F401
@@ -51,7 +58,7 @@ def steady_state(liouvillian: SuperoperatorMatrix) -> DensityMatrix:
     """Unique stationary density matrix of the generator.
 
     The k = 0 block is sliced out of the dense entries, its first (redundant)
-    row is replaced with the trace functional, and B' x = e_0 is solved by LU.
+    row is replaced with the trace functional, and B' x = e_0 is solved.
     The residual is then taken on the whole generator, so one that does not
     keep N is refused rather than solved on the wrong sector.
 
@@ -66,7 +73,7 @@ def steady_state(liouvillian: SuperoperatorMatrix) -> DensityMatrix:
     basis = liouvillian.basis
     ket, bra, pos = sector_indices(basis.n_max, 0)
     entries = liouvillian.entries
-    rho = _state_from_block(basis, entries[np.ix_(pos, pos)])
+    rho = _raised(_block_states(basis, entries[np.ix_(pos, pos)][None])[0])
     _check_residual(entries[:, pos] @ rho.entries[ket, bra], liouvillian.norm_inf(), "L")
     return rho
 
@@ -77,13 +84,67 @@ def sector_steady_state(params: ModelParams, basis: CompositeBasis) -> DensityMa
     Never assembles the d^2 x d^2 generator; the result is bit-identical to
     steady_state(build_liouvillian(params, basis)).
     """
-    return _state_from_block(basis, sector_block(params, basis, 0))
+    return _raised(sector_steady_states(term_coefficients(params, basis.n_max)[None], basis)[0])
 
 
-def _state_from_block(basis: CompositeBasis, block: np.ndarray) -> DensityMatrix:
+def sector_steady_states(coefs: np.ndarray, basis: CompositeBasis) -> list:
+    """sector_steady_state for each row of liouvillian.term_coefficients in coefs, solved as one stack.
+
+    Returns one entry per row: its DensityMatrix, or the DegenerateSteadyStateError
+    or SteadyStateConvergenceError that its point alone raises. Each state is
+    bit-identical to the point's own sector_steady_state.
+    """
+    return _block_states(basis, sector_blocks(coefs, basis.n_max, 0))
+
+
+def _raised(state):
+    if isinstance(state, Exception):
+        raise state
+    return state
+
+
+def _block_states(basis: CompositeBasis, blocks: np.ndarray) -> list:
+    ket, bra, _ = sector_indices(basis.n_max, 0)
+    try:
+        xs, rconds = _solve_trace_rows(blocks, ket == bra)
+    except np.linalg.LinAlgError:
+        # one exactly singular system fails its whole stack; find it point by point
+        if len(blocks) > 1:
+            return [state for block in blocks for state in _block_states(basis, block[None])]
+        return [DegenerateSteadyStateError(
+            "trace-row system is singular: the stationary state is not unique")]
+    states = []
+    for block, x, rcond in zip(blocks, xs, rconds):
+        try:
+            states.append(_state_from_solution(basis, block, x, rcond))
+        except (DegenerateSteadyStateError, SteadyStateConvergenceError) as exc:
+            states.append(exc)
+    return states
+
+
+def _solve_trace_rows(blocks: np.ndarray, trace_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x with B'x = e_0 and the exact 1-norm rcond of B', for each block B of a (P, m, m) stack.
+
+    B' is B with its first (redundant) row replaced by the trace functional,
+    so x is column 0 of its inverse and rcond = 1 / (||B'||_1 ||B'^-1||_1).
+    Raises LinAlgError when any B' is exactly singular.
+    """
+    systems = blocks.copy()
+    systems[:, 0, :] = trace_row
+    inverses = np.linalg.inv(systems)
+    norms = np.abs(systems).sum(axis=1).max(axis=1) * np.abs(inverses).sum(axis=1).max(axis=1)
+    return inverses[:, :, 0], 1.0 / norms
+
+
+def _state_from_solution(basis: CompositeBasis, block: np.ndarray, x: np.ndarray,
+                         rcond: float) -> DensityMatrix:
+    if not np.isfinite(rcond) or rcond < _RCOND_FLOOR:
+        raise DegenerateSteadyStateError(
+            f"trace-row system is numerically singular (rcond = {rcond:.2e}): "
+            "the stationary state is not unique"
+        )
     dim = basis.dim
     ket, bra, _ = sector_indices(basis.n_max, 0)
-    x = _solve_trace_row(block, (ket == bra).astype(complex))
     rho = np.zeros((dim, dim), dtype=complex)
     rho[ket, bra] = x
     rho = 0.5 * (rho + rho.conj().T)
@@ -102,30 +163,6 @@ def _check_residual(residual: np.ndarray, norm: float, name: str) -> None:
         raise SteadyStateConvergenceError(
             f"steady-state residual {worst:.3e} exceeds {_RTOL:.1e} * ||{name}||_inf = {_RTOL * norm:.3e}"
         )
-
-
-def _solve_trace_row(block: np.ndarray, trace_row: np.ndarray) -> np.ndarray:
-    # Fortran order lets zgetrf factor this one copy in place
-    m = np.array(block, order="F")
-    m[0, :] = trace_row
-    anorm = float(np.abs(m).sum(axis=0).max())
-    lu, piv, info = lapack.zgetrf(m, overwrite_a=True)
-    if info != 0:
-        raise DegenerateSteadyStateError(
-            "trace-row system is singular: the stationary state is not unique"
-        )
-    rcond, info = lapack.zgecon(lu, anorm, norm="1")
-    if info != 0 or not np.isfinite(rcond) or rcond < _RCOND_FLOOR:
-        raise DegenerateSteadyStateError(
-            f"trace-row system is numerically singular (rcond = {rcond:.2e}): "
-            "the stationary state is not unique"
-        )
-    b = np.zeros(block.shape[0], dtype=complex)
-    b[0] = 1.0
-    x, info = lapack.zgetrs(lu, piv, b)
-    if info != 0:
-        raise SteadyStateConvergenceError("LU back substitution failed")
-    return x
 
 
 def expectation(rho: DensityMatrix, op: OperatorMatrix) -> complex:

@@ -2,8 +2,11 @@
 
 A sweep point is a pure function of (params, n_max); points run serially or
 in one contiguous chunk per thread and either way land in the same
-coordinate-ordered table, so a sweep is reproducible bit for bit. A point that
-fails (for example zeta > 0 with zero detuning) is an error row, never an abort.
+coordinate-ordered table, so a sweep is reproducible bit for bit. Within a
+chunk the steady states are solved in stacks of at most _STACK points, one
+numpy call per stack that releases the interpreter lock, and no point's
+result depends on its stack. A point that fails (for example zeta > 0 with
+zero detuning) is an error row, never an abort.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ import numpy as np
 from ._version import __version__
 from .dynamics import SpectrumResult, g2_zero_from_state, pl_spectrum
 from .hilbert import CompositeBasis, frozen_array
+from .liouvillian import term_coefficients
 from .manifold import TransitionLine, transition_lines
 from .model import ModelParams
-from .steadystate import occupations, sector_steady_state
+from .steadystate import occupations, sector_steady_states
 # bound here only because perfbench/tracing.py patches them under these names
 from .hilbert import annihilation, qubit_lowering  # noqa: F401
 from .liouvillian import build_liouvillian  # noqa: F401
@@ -32,6 +36,12 @@ SCALAR_OBSERVABLES = _OCCUPATIONS + ("g2_zero",)
 ALLOWED_OBSERVABLES = SCALAR_OBSERVABLES + ("transition_lines",)
 
 _PARAM_NAMES = tuple(f.name for f in dataclasses.fields(ModelParams))
+
+# what a failed grid point raises; it becomes the point's error row
+_POINT_ERRORS = (ValueError, RuntimeError, ArithmeticError)
+# points per stacked steady-state solve: bounds a chunk's scratch memory and
+# never changes a row, since each point's block and solve ignore the rest of its stack
+_STACK = 32
 
 
 @dataclass(frozen=True)
@@ -182,42 +192,81 @@ def csv_table(header, blocks) -> str:
 
 
 def _map(fn, tasks: list, parallelism: int) -> list:
-    """[fn(t) for t in tasks]; above parallelism 1, each thread runs one contiguous chunk."""
+    """fn(tasks) for an fn from a list of tasks to the list of their outputs.
+
+    Above parallelism 1, each thread runs fn on one contiguous chunk of tasks.
+    """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     if parallelism == 1:
-        return [fn(t) for t in tasks]
+        return fn(tasks)
     bounds = [len(tasks) * i // parallelism for i in range(parallelism + 1)]
     chunks = [tasks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return [out for chunk in pool.map(lambda c: [fn(t) for t in c], chunks) for out in chunk]
+        return [out for outs in pool.map(fn, chunks) for out in outs]
+
+
+def _point(spec: SweepSpec, value1: float, value2: float):
+    """The grid point's params and term coefficients, or the error it fails with."""
+    try:
+        point = spec.params.replace(**{spec.axis1.name: value1, spec.axis2.name: value2})
+        return point, term_coefficients(point, spec.n_max)
+    except _POINT_ERRORS as exc:
+        return exc
+
+
+def _evaluate_stack(spec: SweepSpec, tasks: list) -> list[dict]:
+    """Rows of consecutive grid points whose steady states are solved as one stack.
+
+    A point that fails before the solve stays out of the stack; one whose own
+    solve fails keeps that error. Either way the error becomes its row.
+    """
+    outcomes = [_point(spec, v1, v2) for v1, v2 in tasks]
+    states = [None] * len(tasks)
+    solved = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
+    if solved and any(name in spec.observables for name in SCALAR_OBSERVABLES):
+        coefs = np.array([outcomes[i][1] for i in solved])
+        for i, state in zip(solved, sector_steady_states(coefs, CompositeBasis(spec.n_max))):
+            if isinstance(state, Exception):
+                outcomes[i] = state
+            else:
+                states[i] = state
+    rows = []
+    for (value1, value2), outcome, rho in zip(tasks, outcomes, states):
+        row = dict.fromkeys(spec.columns())
+        row[spec.axis1.name] = value1
+        row[spec.axis2.name] = value2
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            point, _ = outcome
+            if rho is not None:
+                if any(name in spec.observables for name in _OCCUPATIONS):
+                    row.update((k, v) for k, v in occupations(rho).items() if k in spec.observables)
+                if "g2_zero" in spec.observables:
+                    row["g2_zero"] = g2_zero_from_state(rho)
+            if "transition_lines" in spec.observables:
+                for k, line in enumerate(transition_lines(point), start=1):
+                    row[f"line{k}_frequency_mev"] = line.frequency
+                    row[f"line{k}_hwhm_mev"] = line.hwhm
+            row["status"] = "ok"
+            row["error"] = ""
+        except _POINT_ERRORS as exc:
+            row["status"] = f"error:{type(exc).__name__}"
+            row["error"] = str(exc)
+        rows.append(row)
+    return rows
+
+
+def _evaluate_chunk(spec: SweepSpec, tasks: list) -> list[dict]:
+    """Rows of consecutive grid points, solved _STACK points at a time."""
+    return [row for lo in range(0, len(tasks), _STACK)
+            for row in _evaluate_stack(spec, tasks[lo:lo + _STACK])]
 
 
 def evaluate_point(spec: SweepSpec, value1: float, value2: float) -> dict:
     """One grid point as a row dict over spec.columns(). Errors become data."""
-    row = {c: None for c in spec.columns()}
-    row[spec.axis1.name] = float(value1)
-    row[spec.axis2.name] = float(value2)
-    try:
-        point = spec.params.replace(
-            **{spec.axis1.name: float(value1), spec.axis2.name: float(value2)}
-        )
-        if any(name in spec.observables for name in SCALAR_OBSERVABLES):
-            rho = sector_steady_state(point, CompositeBasis(spec.n_max))
-            if any(name in spec.observables for name in _OCCUPATIONS):
-                row.update((k, v) for k, v in occupations(rho).items() if k in spec.observables)
-            if "g2_zero" in spec.observables:
-                row["g2_zero"] = g2_zero_from_state(rho)
-        if "transition_lines" in spec.observables:
-            for k, line in enumerate(transition_lines(point), start=1):
-                row[f"line{k}_frequency_mev"] = line.frequency
-                row[f"line{k}_hwhm_mev"] = line.hwhm
-        row["status"] = "ok"
-        row["error"] = ""
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
-        row["status"] = f"error:{type(exc).__name__}"
-        row["error"] = str(exc)
-    return row
+    return _evaluate_chunk(spec, [(float(value1), float(value2))])[0]
 
 
 def _run_metadata(spec: SweepSpec) -> dict:
@@ -240,7 +289,7 @@ def run_sweep(spec: SweepSpec, *, parallelism: int = 1) -> SweepResult:
     """
     v2s = spec.axis2.values()
     tasks = [(float(a), float(b)) for a in spec.axis1.values() for b in v2s]
-    rows = _map(lambda task: evaluate_point(spec, *task), tasks, parallelism)
+    rows = _map(lambda chunk: _evaluate_chunk(spec, chunk), tasks, parallelism)
     return SweepResult(columns=spec.columns(), rows=tuple(rows), metadata=_run_metadata(spec))
 
 
@@ -280,12 +329,12 @@ def run_spectra_panel(
             spectrum = pl_spectrum(p, n_max=n_max)
             lines = transition_lines(p)
             return "ok", spectrum, lines
-        except (ValueError, RuntimeError, ArithmeticError) as exc:
+        except _POINT_ERRORS as exc:
             return f"error:{type(exc).__name__}: {exc}", None, None
 
     tunnelings = [float(tun) for tun in tunneling_values]
     tasks = [(tun, float(z)) for tun in tunnelings for z in zeta_values]
-    outs = _map(point, tasks, parallelism)
+    outs = _map(lambda chunk: [point(task) for task in chunk], tasks, parallelism)
     n = len(zeta_values)
     panels = []
     for k, tun in enumerate(tunnelings):

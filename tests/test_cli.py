@@ -411,3 +411,30 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["kind"] == "steady"
+
+
+_NO_SCIPY_CHILD = """
+import contextlib, io, sys, tempfile
+import dqdcavity, dqdcavity.cli
+small = ["--preset", "laucht-strong", "--n-max", "2"]
+grid = ["--axis1", "tunneling_T:0.01:1:3", "--axis2", "zeta:0.01:1:3"]
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["steady", *small],
+                 ["sweep", *small, *grid, "--observables", "n_cavity,g2_zero,transition_lines",
+                  "--parallelism", "2"],
+                 ["figures", *small, "--which", "2", "--zeta-points", "2", "--out", out],
+                 ["g2", *small]):
+        assert dqdcavity.cli.main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_workload_imports_scipy():
+    # scipy is needed only for the expm fallback and find_spectrum_peaks
+    src = str(Path(dqdcavity.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -19,7 +19,14 @@ from dqdcavity import (
     steady_state,
     vec,
 )
-from dqdcavity.steadystate import number_moments, sector_steady_state
+from dqdcavity.liouvillian import sector_blocks, sector_indices, term_coefficients
+from dqdcavity.steadystate import (
+    _block_states,
+    _solve_trace_rows,
+    number_moments,
+    sector_steady_state,
+    sector_steady_states,
+)
 
 import oracles
 
@@ -171,3 +178,57 @@ def test_generator_that_breaks_n_is_refused(laucht):
     steady_state(lop)  # the undriven generator passes
     with pytest.raises(SteadyStateConvergenceError, match=r"\|\|L\|\|"):
         steady_state(SuperoperatorMatrix(basis, lop.entries + drive))
+
+
+def _coefficient_rows(points, n_max):
+    return np.array([term_coefficients(p, n_max) for p in points])
+
+
+def test_stack_isolates_the_disconnected_point(laucht):
+    # the point of test_disconnected_subsystem_raises between two good points:
+    # it fails alone, with its solo message, and the others keep their solo bits
+    basis = CompositeBasis(3)
+    degen = laucht.replace(gamma2=0.0, pump2=0.0, g2=0.0, tunneling_T=0.0, zeta=0.0)
+    good = (laucht, laucht.replace(tunneling_T=0.3, zeta=0.2))
+    first, bad, last = sector_steady_states(_coefficient_rows([good[0], degen, good[1]], 3), basis)
+    with pytest.raises(DegenerateSteadyStateError) as solo:
+        sector_steady_state(degen, basis)
+    assert isinstance(bad, DegenerateSteadyStateError)
+    assert str(bad) == str(solo.value)
+    for state, p in zip((first, last), good):
+        assert np.array_equal(state.entries, sector_steady_state(p, basis).entries)
+
+
+def test_exactly_singular_block_fails_alone(laucht):
+    # numpy's inv raises for a whole stack when one member has an exact zero
+    # pivot; the stack is then solved point by point
+    basis = CompositeBasis(3)
+    good = (laucht, laucht.replace(tunneling_T=0.3, zeta=0.2))
+    blocks = sector_blocks(_coefficient_rows([good[0], laucht, good[1]], 3), 3, 0)
+    blocks[1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(blocks)
+    first, bad, last = _block_states(basis, blocks)
+    assert isinstance(bad, DegenerateSteadyStateError)
+    assert "trace-row system is singular" in str(bad)
+    for state, p in zip((first, last), good):
+        assert np.array_equal(state.entries, sector_steady_state(p, basis).entries)
+
+
+def test_exact_rcond_is_within_the_lapack_estimate(laucht):
+    # LAPACK's zgecon estimates ||B'^-1||_1 from below, so its rcond is an upper
+    # bound on the exact one (to rounding); the floor is at least as strict
+    lapack = pytest.importorskip("scipy.linalg").lapack
+    rng = np.random.default_rng(15)
+    points = [laucht.replace(tunneling_T=t, zeta=z) for t, z in 10.0 ** rng.uniform(-3, 1, (12, 2))]
+    blocks = sector_blocks(_coefficient_rows(points, 3), 3, 0)
+    ket, bra, _ = sector_indices(3, 0)
+    _, rconds = _solve_trace_rows(blocks, ket == bra)
+    for block, rcond in zip(blocks, rconds):
+        system = np.array(block, order="F")
+        system[0, :] = ket == bra
+        lu, _, info = lapack.zgetrf(system)
+        assert info == 0
+        estimate, info = lapack.zgecon(lu, np.abs(system).sum(axis=0).max(), norm="1")
+        assert info == 0
+        assert estimate / 1.5 <= rcond <= estimate * (1.0 + 1e-12)

@@ -20,7 +20,7 @@ from dqdcavity import (
     run_sweep,
     transition_lines,
 )
-from dqdcavity.sweep import csv_table
+from dqdcavity.sweep import _STACK, csv_table
 
 
 def _axis(name="tunneling_T", start=0.01, stop=1.0, count=3):
@@ -282,6 +282,24 @@ def test_rows_do_not_depend_on_chunking(laucht):
         chunked = run_sweep(spec, parallelism=parallelism)
         assert chunked.rows == serial.rows
         assert chunked.to_csv() == serial.to_csv()
+
+
+def test_stacked_rows_do_not_depend_on_parallelism(laucht):
+    # 45 points at n_max 3 fill more than one stacked solve per chunk; every row
+    # is also the point's own one-point evaluation
+    spec = SweepSpec(
+        params=laucht,
+        axis1=_axis(start=1e-3, stop=10.0, count=9),
+        axis2=_axis("zeta", start=1e-3, stop=10.0, count=5),
+        observables=("n_cavity", "n_qd1", "n_qd2", "g2_zero"), n_max=3,
+    )
+    assert 9 * 5 > _STACK
+    serial = run_sweep(spec, parallelism=1)
+    assert all(row["status"] == "ok" for row in serial.rows)
+    for parallelism in (2, 7):
+        assert run_sweep(spec, parallelism=parallelism).rows == serial.rows
+    for row in serial.rows:
+        assert evaluate_point(spec, row["tunneling_T"], row["zeta"]) == row
 
 
 def _writer_csv(rows) -> str:
