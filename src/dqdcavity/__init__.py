@@ -41,7 +41,6 @@ from .hilbert import (
 from .liouvillian import (
     SuperoperatorMatrix,
     build_liouvillian,
-    trace_functional,
     unvec,
     vec,
 )
@@ -67,7 +66,6 @@ from .model import (
 )
 from .steadystate import (
     DensityMatrix,
-    expectation,
     steady_observables,
     steady_state,
 )
@@ -121,7 +119,6 @@ __all__ = [
     "evaluate_point",
     "exceptional_point_scan",
     "exp_decay_sum",
-    "expectation",
     "find_spectrum_peaks",
     "g2",
     "g2_zero",
@@ -143,7 +140,6 @@ __all__ = [
     "steady_observables",
     "steady_state",
     "thermal_occupation",
-    "trace_functional",
     "transition_lines",
     "transition_matrix_explicit",
     "transition_matrix_generic",

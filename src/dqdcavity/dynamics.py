@@ -170,7 +170,7 @@ def two_time_correlation(
     op_obs: OperatorMatrix,
     taus,
 ) -> CorrelationResult:
-    """G(tau) = Tr[op_obs unvec(e^{L tau} vec(op_right rho_ss op_left))], tau >= 0.
+    """G(tau) = Tr[op_obs unvec(e^{L tau} vec(op_right rho_ss op_left))], finite tau >= 0.
 
     The seed op_right rho op_left places op_left at time zero on the left of
     the time-tau observable and op_right on its right, so
@@ -187,8 +187,8 @@ def two_time_correlation(
     if rho_ss.basis != basis:
         raise BasisMismatchError("density matrix basis does not match the generator")
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if taus.size and taus.min() < 0.0:
-        raise ValueError("delay times must be >= 0")
+    if not ((taus >= 0.0) & (taus < np.inf)).all():  # NaN fails both
+        raise ValueError("delay times must be finite and >= 0")
 
     seed = vec(op_right.entries @ rho_ss.entries @ op_left.entries)
     obs_row = _readout_row(op_obs.entries)

@@ -33,11 +33,6 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v).reshape((dim, dim), order="F")
 
 
-def trace_functional(dim: int) -> np.ndarray:
-    """Row vector t with t @ vec(rho) = Tr(rho)."""
-    return np.eye(dim).reshape(-1, order="F")
-
-
 @dataclass(frozen=True)
 class SuperoperatorMatrix:
     """Dense d^2 x d^2 superoperator acting on column-stacked density matrices.

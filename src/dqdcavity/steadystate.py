@@ -4,31 +4,23 @@ The stationary state keeps the excitation number N = photons + excitons on
 both sides (k = N_ket - N_bra = 0), so it is solved on the k = 0 block alone:
 m = 52 unknowns instead of d^2 = 256 at n_max 3. steady_state slices that
 block out of a dense generator; sector_steady_state builds it straight from
-K, and sector_steady_states builds and solves a stack of points at once.
-Every route hands its blocks to one stacked solver, which inverts each
-trace-row system with numpy and takes the exact 1-norm condition number from
-the inverse; steady_state, which may be handed any generator, also checks
-the residual on all of it.
+K, and sector_steady_states builds and solves many points, _STACK at a time.
+This module alone sets that stack bound. Every route hands its blocks to one
+stacked solver, which inverts each trace-row system with numpy and takes the
+exact 1-norm condition number from the inverse; steady_state, which may be
+handed any generator, also checks the residual on all of it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
-from .errors import (
-    BasisMismatchError,
-    DegenerateSteadyStateError,
-    SteadyStateConvergenceError,
-)
+from .errors import DegenerateSteadyStateError, SteadyStateConvergenceError
 from .hilbert import CompositeBasis, OperatorMatrix, frozen_array, level_counts
-from .liouvillian import (
-    SuperoperatorMatrix,
-    sector_blocks,
-    sector_indices,
-    term_coefficients,
-)
+from .liouvillian import SuperoperatorMatrix, sector_blocks, sector_indices, term_coefficients
 # bound here only because perfbench/tracing.py patches them under these names
 from .hilbert import annihilation, qubit_lowering  # noqa: F401
 from .liouvillian import build_liouvillian  # noqa: F401
@@ -42,6 +34,9 @@ _RCOND_FLOOR = 1e-13
 # holds the full generator L to ||L x||_inf <= _RTOL * ||L||_inf, which fails
 # when L moves weight out of the k = 0 sector
 _RTOL = 1e-10
+# points per stacked solve: bounds the scratch memory of sector_steady_states
+# and never changes a state, since each point's block and solve ignore the rest
+_STACK = 32
 
 
 class DensityMatrix(OperatorMatrix):
@@ -84,17 +79,21 @@ def sector_steady_state(params: ModelParams, basis: CompositeBasis) -> DensityMa
     Never assembles the d^2 x d^2 generator; the result is bit-identical to
     steady_state(build_liouvillian(params, basis)).
     """
-    return _raised(sector_steady_states(term_coefficients(params, basis.n_max)[None], basis)[0])
+    return _raised(next(sector_steady_states(term_coefficients(params, basis.n_max)[None], basis)))
 
 
-def sector_steady_states(coefs: np.ndarray, basis: CompositeBasis) -> list:
-    """sector_steady_state for each row of liouvillian.term_coefficients in coefs, solved as one stack.
+def sector_steady_states(coefs, basis: CompositeBasis):
+    """sector_steady_state for each row of liouvillian.term_coefficients in coefs, an iterable.
 
-    Returns one entry per row: its DensityMatrix, or the DegenerateSteadyStateError
-    or SteadyStateConvergenceError that its point alone raises. Each state is
+    Yields, in row order, each point's DensityMatrix or the
+    DegenerateSteadyStateError or SteadyStateConvergenceError that its point
+    alone raises. Rows are built and solved _STACK at a time, and lazily, so
+    at most one stack of blocks and states is held. Each state is
     bit-identical to the point's own sector_steady_state.
     """
-    return _block_states(basis, sector_blocks(coefs, basis.n_max, 0))
+    rows = iter(coefs)
+    while stack := list(itertools.islice(rows, _STACK)):
+        yield from _block_states(basis, sector_blocks(np.array(stack), basis.n_max, 0))
 
 
 def _raised(state):
@@ -163,15 +162,6 @@ def _check_residual(residual: np.ndarray, norm: float, name: str) -> None:
         raise SteadyStateConvergenceError(
             f"steady-state residual {worst:.3e} exceeds {_RTOL:.1e} * ||{name}||_inf = {_RTOL * norm:.3e}"
         )
-
-
-def expectation(rho: DensityMatrix, op: OperatorMatrix) -> complex:
-    """Tr(rho O). Imaginary parts are the caller's to discard for Hermitian O."""
-    if rho.basis != op.basis:
-        raise BasisMismatchError(
-            f"density matrix and operator bases differ (n_max {rho.basis.n_max} vs {op.basis.n_max})"
-        )
-    return complex(np.trace(rho.entries @ op.entries))
 
 
 @functools.lru_cache(maxsize=None)

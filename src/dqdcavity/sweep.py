@@ -2,11 +2,12 @@
 
 A sweep point is a pure function of (params, n_max); points run serially or
 in one contiguous chunk per thread and either way land in the same
-coordinate-ordered table, so a sweep is reproducible bit for bit. Within a
-chunk the steady states are solved in stacks of at most _STACK points, one
-numpy call per stack that releases the interpreter lock, and no point's
-result depends on its stack. A point that fails (for example zeta > 0 with
-zero detuning) is an error row, never an abort.
+coordinate-ordered table, so a sweep is reproducible bit for bit. A chunk
+hands all its steady states to steadystate.sector_steady_states in one call;
+that module owns the stack bound, solving a stack of points per numpy call
+that releases the interpreter lock, and no point's result depends on its
+stack. A point that fails (for example zeta > 0 with zero detuning) is an
+error row, never an abort.
 """
 
 from __future__ import annotations
@@ -31,17 +32,13 @@ from .hilbert import annihilation, qubit_lowering  # noqa: F401
 from .liouvillian import build_liouvillian  # noqa: F401
 from .steadystate import steady_state  # noqa: F401
 
-_OCCUPATIONS = ("n_cavity", "n_qd1", "n_qd2")
-SCALAR_OBSERVABLES = _OCCUPATIONS + ("g2_zero",)
+SCALAR_OBSERVABLES = ("n_cavity", "n_qd1", "n_qd2", "g2_zero")
 ALLOWED_OBSERVABLES = SCALAR_OBSERVABLES + ("transition_lines",)
 
 _PARAM_NAMES = tuple(f.name for f in dataclasses.fields(ModelParams))
 
 # what a failed grid point raises; it becomes the point's error row
 _POINT_ERRORS = (ValueError, RuntimeError, ArithmeticError)
-# points per stacked steady-state solve: bounds a chunk's scratch memory and
-# never changes a row, since each point's block and solve ignore the rest of its stack
-_STACK = 32
 
 
 @dataclass(frozen=True)
@@ -194,45 +191,39 @@ def csv_table(header, blocks) -> str:
 def _map(fn, tasks: list, parallelism: int) -> list:
     """fn(tasks) for an fn from a list of tasks to the list of their outputs.
 
-    Above parallelism 1, each thread runs fn on one contiguous chunk of tasks.
+    Above parallelism 1, each thread runs fn on one contiguous, non-empty chunk of tasks.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    if parallelism == 1:
+    workers = min(parallelism, len(tasks))
+    if workers <= 1:
         return fn(tasks)
-    bounds = [len(tasks) * i // parallelism for i in range(parallelism + 1)]
+    bounds = [len(tasks) * i // workers for i in range(workers + 1)]
     chunks = [tasks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return [out for outs in pool.map(fn, chunks) for out in outs]
 
 
-def _point(spec: SweepSpec, value1: float, value2: float):
-    """The grid point's params and term coefficients, or the error it fails with."""
-    try:
-        point = spec.params.replace(**{spec.axis1.name: value1, spec.axis2.name: value2})
-        return point, term_coefficients(point, spec.n_max)
-    except _POINT_ERRORS as exc:
-        return exc
+def _evaluate(spec: SweepSpec, tasks: list) -> list[dict]:
+    """Rows of consecutive grid points; a point's error becomes its row.
 
-
-def _evaluate_stack(spec: SweepSpec, tasks: list) -> list[dict]:
-    """Rows of consecutive grid points whose steady states are solved as one stack.
-
-    A point that fails before the solve stays out of the stack; one whose own
-    solve fails keeps that error. Either way the error becomes its row.
+    The points whose params and term coefficients build go to
+    sector_steady_states in one call, and each of their rows takes its state
+    as the row is written, so at most one stack of builds and states is held.
     """
-    outcomes = [_point(spec, v1, v2) for v1, v2 in tasks]
-    states = [None] * len(tasks)
-    solved = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
-    if solved and any(name in spec.observables for name in SCALAR_OBSERVABLES):
-        coefs = np.array([outcomes[i][1] for i in solved])
-        for i, state in zip(solved, sector_steady_states(coefs, CompositeBasis(spec.n_max))):
-            if isinstance(state, Exception):
-                outcomes[i] = state
-            else:
-                states[i] = state
+    def build(task):
+        try:
+            point = spec.params.replace(**{spec.axis1.name: task[0], spec.axis2.name: task[1]})
+            return point, term_coefficients(point, spec.n_max)
+        except _POINT_ERRORS as exc:
+            return exc
+    # the solver builds a stack ahead of the rows, so builds overlap other threads' solves
+    outcomes, ahead = itertools.tee(map(build, tasks))
+    coefs = (o[1] for o in ahead if not isinstance(o, Exception))
+    states = sector_steady_states(coefs, CompositeBasis(spec.n_max))
+    wants_state = any(name in spec.observables for name in SCALAR_OBSERVABLES)
     rows = []
-    for (value1, value2), outcome, rho in zip(tasks, outcomes, states):
+    for (value1, value2), outcome in zip(tasks, outcomes):
         row = dict.fromkeys(spec.columns())
         row[spec.axis1.name] = value1
         row[spec.axis2.name] = value2
@@ -240,9 +231,11 @@ def _evaluate_stack(spec: SweepSpec, tasks: list) -> list[dict]:
             if isinstance(outcome, Exception):
                 raise outcome
             point, _ = outcome
-            if rho is not None:
-                if any(name in spec.observables for name in _OCCUPATIONS):
-                    row.update((k, v) for k, v in occupations(rho).items() if k in spec.observables)
+            if wants_state:
+                rho = next(states)
+                if isinstance(rho, Exception):
+                    raise rho
+                row.update((k, v) for k, v in occupations(rho).items() if k in spec.observables)
                 if "g2_zero" in spec.observables:
                     row["g2_zero"] = g2_zero_from_state(rho)
             if "transition_lines" in spec.observables:
@@ -258,15 +251,9 @@ def _evaluate_stack(spec: SweepSpec, tasks: list) -> list[dict]:
     return rows
 
 
-def _evaluate_chunk(spec: SweepSpec, tasks: list) -> list[dict]:
-    """Rows of consecutive grid points, solved _STACK points at a time."""
-    return [row for lo in range(0, len(tasks), _STACK)
-            for row in _evaluate_stack(spec, tasks[lo:lo + _STACK])]
-
-
 def evaluate_point(spec: SweepSpec, value1: float, value2: float) -> dict:
     """One grid point as a row dict over spec.columns(). Errors become data."""
-    return _evaluate_chunk(spec, [(float(value1), float(value2))])[0]
+    return _evaluate(spec, [(float(value1), float(value2))])[0]
 
 
 def _run_metadata(spec: SweepSpec) -> dict:
@@ -289,7 +276,7 @@ def run_sweep(spec: SweepSpec, *, parallelism: int = 1) -> SweepResult:
     """
     v2s = spec.axis2.values()
     tasks = [(float(a), float(b)) for a in spec.axis1.values() for b in v2s]
-    rows = _map(lambda chunk: _evaluate_chunk(spec, chunk), tasks, parallelism)
+    rows = _map(lambda chunk: _evaluate(spec, chunk), tasks, parallelism)
     return SweepResult(columns=spec.columns(), rows=tuple(rows), metadata=_run_metadata(spec))
 
 

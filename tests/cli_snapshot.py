@@ -55,6 +55,11 @@ CASES = {
                     "--parallelism", "2", "--format", "json"], None),
     "sweep_all_errors": (["sweep", *_SMALL, *_DEGENERATE, *_GRID,
                           "--out", "{d}/sweep.csv"], None),
+    # 36 points whose first 6 (omega2 == omega1, zeta > 0) fail before the solve, so
+    # rows must not depend on whether failed points count towards a stack
+    "sweep_mixed_errors": (["sweep", *_SMALL, "--axis1", "omega2:1218.0:1218.5:6",
+                            "--axis2", "zeta:0.001:10:6", "--observables", "n_cavity,g2_zero",
+                            "--out", "{d}/sweep.csv"], None),
     "sweep_rejects_spectrum": (["sweep", *_SMALL, "--observables", "n_cavity,spectrum"], None),
     "figures_2": (["figures", *_SMALL, "--which", "2", "--zeta-points", "3",
                    "--parallelism", "2", "--out", "{d}/fig"], None),

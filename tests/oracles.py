@@ -123,6 +123,11 @@ def generator_by_columns(h: np.ndarray, channels) -> np.ndarray:
     return out
 
 
+def expectation(rho: np.ndarray, op: np.ndarray) -> complex:
+    """Tr(rho O) of two d x d arrays."""
+    return complex(np.trace(rho @ op))
+
+
 def null_vector_state(generator: np.ndarray) -> np.ndarray:
     """Unit-trace density matrix spanning the kernel of a column-stacked generator.
 

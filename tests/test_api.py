@@ -32,7 +32,6 @@ PUBLIC_NAMES = {
     "evaluate_point",
     "exceptional_point_scan",
     "exp_decay_sum",
-    "expectation",
     "find_spectrum_peaks",
     "g2",
     "g2_zero",
@@ -54,7 +53,6 @@ PUBLIC_NAMES = {
     "steady_observables",
     "steady_state",
     "thermal_occupation",
-    "trace_functional",
     "transition_lines",
     "transition_matrix_explicit",
     "transition_matrix_generic",

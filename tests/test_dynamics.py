@@ -12,7 +12,6 @@ from dqdcavity import (
     build_liouvillian,
     default_omega_grid,
     dynamics,
-    expectation,
     find_spectrum_peaks,
     g2,
     g2_zero,
@@ -36,7 +35,7 @@ def test_correlation_starts_at_equal_time_moment(laucht):
     a = annihilation(basis)
     one = OperatorMatrix(basis, np.eye(basis.dim))
     corr = two_time_correlation(lop, rho, a.dag(), one, a, np.array([0.0, 1.0]))
-    want = expectation(rho, a.dag() @ a)
+    want = oracles.expectation(rho.entries, (a.dag() @ a).entries)
     assert corr.values[0] == pytest.approx(want, rel=1e-10)
     assert not corr.used_expm_fallback
 
@@ -88,7 +87,7 @@ def test_empty_cavity_coherence_decay_closed_form(laucht):
     rho = steady_state(lop)
     a = annihilation(basis)
     one = OperatorMatrix(basis, np.eye(basis.dim))
-    n = expectation(rho, a.dag() @ a).real
+    n = oracles.expectation(rho.entries, (a.dag() @ a).entries).real
     taus = np.linspace(0.0, 60.0, 31)
     corr = two_time_correlation(lop, rho, a.dag(), one, a, taus)
     rate = (dec.kappa - dec.cavity_pump) / 2.0
@@ -116,6 +115,19 @@ def test_correlation_input_validation(laucht):
         two_time_correlation(lop, other_rho, a.dag(), one, a, np.array([0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_delays_are_refused(laucht, bad):
+    # g2(inf) would otherwise read 0 rather than its limit 1, and g2(nan) nan
+    basis = CompositeBasis(1)
+    lop = build_liouvillian(laucht, basis)
+    rho = steady_state(lop)
+    a = annihilation(basis)
+    with pytest.raises(ValueError, match="finite"):
+        two_time_correlation(lop, rho, a.dag(), a, a.dag() @ a, np.array([0.0, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        g2(laucht, [bad], n_max=1)
+
+
 def test_spectrum_of_empty_cavity_is_single_line(laucht):
     dec = _decoupled_cavity(laucht)
     grid = np.linspace(dec.omega0 - 1.5, dec.omega0 + 1.5, 3001)
@@ -137,7 +149,7 @@ def test_spectrum_sum_rule(laucht):
     basis = CompositeBasis(3)
     rho = steady_state(build_liouvillian(laucht, basis))
     a = annihilation(basis)
-    flux = laucht.kappa * expectation(rho, a.dag() @ a).real
+    flux = laucht.kappa * oracles.expectation(rho.entries, (a.dag() @ a).entries).real
     narrow = pl_spectrum(laucht, default_omega_grid(laucht), n_max=3)
     total_narrow = np.trapezoid(narrow.intensities, narrow.frequencies)
     assert total_narrow == pytest.approx(flux, rel=0.02)

@@ -18,7 +18,6 @@ from dqdcavity import (
     pl_spectrum,
     preset,
     qubit_lowering,
-    trace_functional,
     unvec,
     vec,
 )
@@ -36,12 +35,6 @@ def test_vec_is_column_stacking():
     assert np.array_equal(v[:3], m[:, 0])
     assert np.array_equal(v[3:6], m[:, 1])
     assert np.array_equal(unvec(v, 3), m)
-
-
-def test_trace_functional_reads_trace():
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    assert trace_functional(5) @ vec(m) == pytest.approx(np.trace(m))
 
 
 _ALL_CHANNELS = ModelParams(
@@ -141,8 +134,8 @@ def test_generator_preserves_trace_and_hermiticity(laucht):
     drho = unvec(lop.apply(vec(rho)), basis.dim)
     assert abs(np.trace(drho)) < 1e-12 * lop.norm_inf()
     assert np.abs(drho - drho.conj().T).max() < 1e-12 * lop.norm_inf()
-    # trace functional annihilates the generator: Tr(L rho) = 0 for all rho
-    row = trace_functional(basis.dim) @ lop.entries
+    # the trace row (vec of the identity) annihilates the generator: Tr(L rho) = 0 for all rho
+    row = np.eye(basis.dim).reshape(-1) @ lop.entries
     assert np.abs(row).max() < 1e-12 * lop.norm_inf()
 
 

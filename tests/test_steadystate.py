@@ -10,17 +10,18 @@ from dqdcavity import (
     SuperoperatorMatrix,
     annihilation,
     build_liouvillian,
-    expectation,
     hamiltonian,
     jump_operators,
     preset,
     qubit_lowering,
     steady_observables,
     steady_state,
+    steadystate,
     vec,
 )
 from dqdcavity.liouvillian import sector_blocks, sector_indices, term_coefficients
 from dqdcavity.steadystate import (
+    _STACK,
     _block_states,
     _solve_trace_rows,
     number_moments,
@@ -128,13 +129,13 @@ def test_density_matrix_frozen_and_expectation_checked(laucht):
     with pytest.raises(ValueError):
         rho.entries[0, 0] = 0.0
     n_op = annihilation(basis).dag() @ annihilation(basis)
-    val = expectation(rho, n_op)
+    val = oracles.expectation(rho.entries, n_op.entries)
     assert val.imag == pytest.approx(0.0, abs=1e-12)
     assert val.real > 0.0
     with pytest.raises(BasisMismatchError):
-        expectation(rho, annihilation(CompositeBasis(2)))
+        rho @ annihilation(CompositeBasis(2))
     s1 = qubit_lowering(basis, 1)
-    assert expectation(rho, s1.dag() @ s1).real == pytest.approx(
+    assert oracles.expectation(rho.entries, (s1.dag() @ s1).entries).real == pytest.approx(
         steady_observables(laucht, n_max=1)["n_qd1"], rel=1e-12
     )
 
@@ -162,7 +163,7 @@ def test_number_moments_match_operator_expectations(laucht):
     a = annihilation(basis)
     s1, s2 = qubit_lowering(basis, 1), qubit_lowering(basis, 2)
     ops = (a.dag() @ a, s1.dag() @ s1, s2.dag() @ s2, a.dag() @ a.dag() @ a @ a)
-    want = [expectation(rho, op).real for op in ops]
+    want = [oracles.expectation(rho.entries, op.entries).real for op in ops]
     assert np.allclose(number_moments(rho), want, rtol=1e-13, atol=0.0)
 
 
@@ -196,6 +197,32 @@ def test_stack_isolates_the_disconnected_point(laucht):
     assert isinstance(bad, DegenerateSteadyStateError)
     assert str(bad) == str(solo.value)
     for state, p in zip((first, last), good):
+        assert np.array_equal(state.entries, sector_steady_state(p, basis).entries)
+
+
+def test_stacks_hold_at_most_the_stack_bound(laucht, monkeypatch):
+    # 2 * _STACK + 1 rows: two full stacks and one of a single row, built
+    # only as the states are taken
+    rng = np.random.default_rng(16)
+    points = [laucht.replace(tunneling_T=t, zeta=z)
+              for t, z in 10.0 ** rng.uniform(-3, 1, (2 * _STACK + 1, 2))]
+    sizes = []
+
+    def recorded(coefs, n_max, k):
+        sizes.append(len(coefs))
+        return sector_blocks(coefs, n_max, k)
+
+    monkeypatch.setattr(steadystate, "sector_blocks", recorded)
+    basis = CompositeBasis(3)
+    states = sector_steady_states(_coefficient_rows(points, 3), basis)
+    assert sizes == []
+    next(states)
+    assert sizes == [_STACK]
+    states = list(states)
+    assert max(sizes) <= _STACK and sum(sizes) == len(points)
+    monkeypatch.undo()
+    assert len(states) == len(points) - 1
+    for state, p in zip(states, points[1:]):
         assert np.array_equal(state.entries, sector_steady_state(p, basis).entries)
 
 

@@ -18,9 +18,11 @@ from dqdcavity import (
     pl_spectrum,
     run_spectra_panel,
     run_sweep,
+    sweep,
     transition_lines,
 )
-from dqdcavity.sweep import _STACK, csv_table
+from dqdcavity.steadystate import _STACK
+from dqdcavity.sweep import _map, csv_table
 
 
 def _axis(name="tunneling_T", start=0.01, stop=1.0, count=3):
@@ -300,6 +302,46 @@ def test_stacked_rows_do_not_depend_on_parallelism(laucht):
         assert run_sweep(spec, parallelism=parallelism).rows == serial.rows
     for row in serial.rows:
         assert evaluate_point(spec, row["tunneling_T"], row["zeta"]) == row
+
+
+def test_states_stay_with_their_points_after_failed_points(laucht):
+    # omega2 starts at omega1, so the first 5 points (zeta > 0) fail before
+    # any solve; the 40 good points that follow cross a stack boundary
+    spec = SweepSpec(
+        params=laucht,
+        axis1=SweepAxis(name="omega2", start=laucht.omega1, stop=laucht.omega1 + 1.0, count=9),
+        axis2=_axis("zeta", start=1e-3, stop=1.0, count=5),
+        observables=("n_cavity", "n_qd1", "n_qd2", "g2_zero", "transition_lines"), n_max=3,
+    )
+    serial = run_sweep(spec, parallelism=1)
+    statuses = [row["status"] for row in serial.rows]
+    assert statuses == ["error:ValueError"] * 5 + ["ok"] * 40
+    assert 40 > _STACK
+    for parallelism in (2, 3):
+        assert run_sweep(spec, parallelism=parallelism).rows == serial.rows
+    for row in serial.rows:
+        assert evaluate_point(spec, row["omega2"], row["zeta"]) == row
+
+
+def test_map_starts_no_more_threads_than_tasks(monkeypatch):
+    chunks, pools = [], []
+
+    class Pool(sweep.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    def record(chunk):
+        chunks.append(list(chunk))
+        return [2 * task for task in chunk]
+
+    monkeypatch.setattr(sweep, "ThreadPoolExecutor", Pool)
+    assert _map(record, [1, 2, 3], 8) == [2, 4, 6]
+    assert pools == [3]
+    assert sorted(chunks) == [[1], [2], [3]]
+    chunks.clear()
+    assert _map(record, [], 8) == []  # no tasks: one serial call, no pool
+    assert chunks == [[]] and pools == [3]
 
 
 def _writer_csv(rows) -> str:
