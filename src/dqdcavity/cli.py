@@ -197,7 +197,6 @@ def _config_flags(path: str, ns: argparse.Namespace) -> list[str]:
         raise CliConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise CliConfigError(f"config file {path!r} must hold a JSON object")
-    data = dict(data)
     sub = data.pop("subcommand", ns.subcommand)
     if sub != ns.subcommand:
         raise CliConfigError(
@@ -225,11 +224,10 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     if ns.config is None:
         return ns
     flags = _config_flags(ns.config, ns)
-    try:
-        parser.parse_args([ns.subcommand, *flags])
+    try:  # argv alone parsed, so an error here comes from the file's flags
+        return parser.parse_args([argv[0], *flags, *argv[1:]])
     except CliConfigError as exc:
         raise CliConfigError(f"config file {ns.config!r}: {exc}") from None
-    return parser.parse_args([argv[0], *flags, *argv[1:]])
 
 
 def _envelope(ns: argparse.Namespace, params: ModelParams, data,

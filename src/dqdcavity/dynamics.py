@@ -30,11 +30,6 @@ _PEAK_REL_PROMINENCE = 0.05
 _OMEGA_HALF_SPAN = 3.0
 
 
-def _readout_row(op: np.ndarray) -> np.ndarray:
-    # Tr[A unvec(x)] with column-stacked x is the row-major ravel of A dotted with x
-    return op.ravel(order="C")
-
-
 def lorentzian_sum(omegas: np.ndarray, amplitudes: np.ndarray, poles: np.ndarray) -> np.ndarray:
     """Sum of complex Lorentzians Re[c_k / (-lambda_k - i w)] on a frequency grid.
 
@@ -162,6 +157,14 @@ def _propagate_expm(
     return values
 
 
+def _delays(taus) -> np.ndarray:
+    """taus as a 1-D float array, each checked to be finite and >= 0."""
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    if not ((taus >= 0.0) & (taus < np.inf)).all():  # NaN fails both
+        raise ValueError("delay times must be finite and >= 0")
+    return taus
+
+
 def two_time_correlation(
     liouvillian: SuperoperatorMatrix,
     rho_ss: DensityMatrix,
@@ -186,12 +189,10 @@ def two_time_correlation(
             raise BasisMismatchError("correlation operators must share the generator's basis")
     if rho_ss.basis != basis:
         raise BasisMismatchError("density matrix basis does not match the generator")
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if not ((taus >= 0.0) & (taus < np.inf)).all():  # NaN fails both
-        raise ValueError("delay times must be finite and >= 0")
+    taus = _delays(taus)
 
     seed = vec(op_right.entries @ rho_ss.entries @ op_left.entries)
-    obs_row = _readout_row(op_obs.entries)
+    obs_row = vec(op_obs.entries.T)  # Tr[A X] = vec(A^T) . vec(X)
 
     try:
         weights, lams = _mode_weights(liouvillian.entries, seed, obs_row)
@@ -270,10 +271,8 @@ def find_spectrum_peaks(spectrum: SpectrumResult) -> list[SpectrumPeak]:
     if top <= 0.0:
         return []
     idx, props = scipy.signal.find_peaks(y, prominence=_PEAK_REL_PROMINENCE * top)
-    if idx.size == 0:
-        return []
     widths, _, _, _ = scipy.signal.peak_widths(y, idx, rel_height=0.5)
-    peaks = [
+    return [
         SpectrumPeak(
             frequency=float(freqs[i]),
             offset=float(freqs[i] - spectrum.omega0),
@@ -283,7 +282,6 @@ def find_spectrum_peaks(spectrum: SpectrumResult) -> list[SpectrumPeak]:
         )
         for i, w, p in zip(idx, widths, props["prominences"])
     ]
-    return peaks
 
 
 def _photon_number(n_avg: float) -> float:
@@ -311,8 +309,10 @@ def g2(params: ModelParams, taus, *, n_max: int = 3) -> list[tuple[float, float]
     """Normalized second-order coherence g2(tau) on a delay grid (units hbar/meV).
 
     g2(tau) = Tr[a^dag a e^{L tau}(a rho_ss a^dag)] / <a^dag a>^2. Raises
-    UndefinedObservableError when the steady photon number is negligible.
+    UndefinedObservableError when the steady photon number is negligible or
+    g2 is not finite at some delay.
     """
+    taus = _delays(taus)
     basis = CompositeBasis(n_max)
     lio = build_liouvillian(params, basis)
     rho = steady_state(lio)
@@ -320,4 +320,7 @@ def g2(params: ModelParams, taus, *, n_max: int = 3) -> list[tuple[float, float]
     n_avg = _photon_number(number_moments(rho)[0])
     corr = two_time_correlation(lio, rho, a.dag(), a, a.dag() @ a, taus)
     normalized = corr.values.real / n_avg**2
+    bad = ~np.isfinite(normalized)
+    if bad.any():
+        raise UndefinedObservableError(f"g2 is not finite at delay {float(taus[bad][0])}")
     return [(float(t), float(v)) for t, v in zip(corr.taus, normalized)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import G, X, CompositeBasis, frozen_array
-from .liouvillian import build_liouvillian, effective_hamiltonian
+from .liouvillian import build_liouvillian, effective_hamiltonian, unvec
 from .model import ModelParams, phat_rates
 
 
@@ -111,8 +111,7 @@ def liouvillian_block_crosscheck(params: ModelParams, basis: CompositeBasis) -> 
     lio = build_liouvillian(params, basis)
     zero, one = _manifold_indices(basis)
     d = basis.dim
-    # rho[r, c] sits at vectorized index c*d + r; the vacuum bra has c = 0
-    vec_idx = [zero[0] * d + r for r in one]
+    vec_idx = unvec(np.arange(d * d), d)[one, zero[0]]
     sub = lio.entries[np.ix_(vec_idx, vec_idx)]
     target = transition_matrix_generic(params, basis)
     return float(np.abs(sub - target).max())

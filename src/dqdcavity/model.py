@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -65,16 +66,14 @@ class ModelParams:
     temperature: float
 
     def __post_init__(self):
-        for name in ("omega0", "omega1", "omega2"):
+        for name in ("omega0", "omega1", "omega2", "temperature"):
             v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0.0:
+            if not math.isfinite(v) or v <= 0.0:
                 raise ValueError(f"{name} must be finite and > 0, got {v!r}")
         for name in _RATE_FIELDS + ("tunneling_T",):
             v = getattr(self, name)
-            if not np.isfinite(v) or v < 0.0:
+            if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-        if not np.isfinite(self.temperature) or self.temperature <= 0.0:
-            raise ValueError(f"temperature must be finite and > 0, got {self.temperature!r}")
         if self.zeta > 0.0 and self.omega1 == self.omega2:
             raise ValueError("zeta > 0 requires omega1 != omega2 (thermal factor undefined)")
 

@@ -60,6 +60,13 @@ CASES = {
     "sweep_mixed_errors": (["sweep", *_SMALL, "--axis1", "omega2:1218.0:1218.5:6",
                             "--axis2", "zeta:0.001:10:6", "--observables", "n_cavity,g2_zero",
                             "--out", "{d}/sweep.csv"], None),
+    # dot 2 cut off: its population is undetermined at pump2 = 1e-30, so every other
+    # point fails inside the solve
+    "sweep_solve_errors": (["sweep", *_SMALL, "--gamma2-mev", "0", "--g2-mev", "0",
+                            "--tunneling-mev", "0", "--zeta-mev", "0",
+                            "--axis1", "kappa:0.1:1:3", "--axis2", "pump2:1e-30:1e-2:2",
+                            "--observables", "n_cavity,n_qd2,g2_zero",
+                            "--out", "{d}/sweep.csv"], None),
     "sweep_rejects_spectrum": (["sweep", *_SMALL, "--observables", "n_cavity,spectrum"], None),
     "figures_2": (["figures", *_SMALL, "--which", "2", "--zeta-points", "3",
                    "--parallelism", "2", "--out", "{d}/fig"], None),

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -174,6 +175,29 @@ def test_degenerate_model_exits_two(capsys):
     ])
     assert code == 2
     assert "numerical failure" in err
+    assert "at parameter point" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_g2_that_is_not_finite_exits_two(capsys):
+    # the delays reach 1e302 hbar/meV, where the mode sum overflows
+    code, out, err = _run(capsys, ["g2", "--kappa-mev", "1e-300", "--tau-points", "3"])
+    assert code == 2
+    assert out == ""
+    assert "numerical failure: g2 is not finite at delay 1e+297" in err
+    assert '"kappa": 1e-300' in err
+
+
+def test_spectrum_eigendecomposition_failure_exits_two(capsys, monkeypatch):
+    def eig(*args):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    code, out, err = _run(capsys, ["spectrum", "--n-max", "1", "--omega-points", "11"])
+    assert code == 2
+    assert out == ""
+    assert "numerical failure: generator eigendecomposition failed" in err
     assert "at parameter point" in err
 
 

@@ -116,7 +116,7 @@ def test_correlation_input_validation(laucht):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-def test_non_finite_delays_are_refused(laucht, bad):
+def test_non_finite_delays_are_refused(laucht, bad, monkeypatch):
     # g2(inf) would otherwise read 0 rather than its limit 1, and g2(nan) nan
     basis = CompositeBasis(1)
     lop = build_liouvillian(laucht, basis)
@@ -126,6 +126,22 @@ def test_non_finite_delays_are_refused(laucht, bad):
         two_time_correlation(lop, rho, a.dag(), a, a.dag() @ a, np.array([0.0, bad]))
     with pytest.raises(ValueError, match="finite"):
         g2(laucht, [bad], n_max=1)
+
+    def build(*args):
+        raise AssertionError("g2 built the generator before checking its delays")
+
+    monkeypatch.setattr(dynamics, "build_liouvillian", build)
+    with pytest.raises(ValueError, match="finite"):
+        g2(laucht, [1.0, bad], n_max=7)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_g2_refuses_values_that_are_not_finite(laucht):
+    # at tau ~ 1e297 the mode sum overflows to inf and nan
+    slow = laucht.replace(kappa=1e-300)
+    with pytest.raises(UndefinedObservableError, match=r"delay 1e\+297$"):
+        g2(slow, [1e-3, 1e297, 1e299], n_max=2)
 
 
 def test_spectrum_of_empty_cavity_is_single_line(laucht):
@@ -248,6 +264,15 @@ def test_g2_curve_shape_and_long_delay_limit(laucht):
         assert isinstance(tau, float) and isinstance(val, float)
     assert curve[0][1] == pytest.approx(g2_zero(laucht, n_max=2), rel=1e-8)
     assert curve[-1][1] == pytest.approx(1.0, abs=1e-3)
+
+
+def test_spectrum_raises_when_eigendecomposition_fails(laucht, monkeypatch):
+    def eig(*args):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    with pytest.raises(DiagonalizationError, match="did not converge"):
+        pl_spectrum(laucht, n_max=1)
 
 
 def test_g2_undefined_for_dark_cavity(laucht):

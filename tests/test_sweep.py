@@ -304,7 +304,7 @@ def test_stacked_rows_do_not_depend_on_parallelism(laucht):
         assert evaluate_point(spec, row["tunneling_T"], row["zeta"]) == row
 
 
-def test_states_stay_with_their_points_after_failed_points(laucht):
+def _failing_before_the_solve(laucht):
     # omega2 starts at omega1, so the first 5 points (zeta > 0) fail before
     # any solve; the 40 good points that follow cross a stack boundary
     spec = SweepSpec(
@@ -313,14 +313,32 @@ def test_states_stay_with_their_points_after_failed_points(laucht):
         axis2=_axis("zeta", start=1e-3, stop=1.0, count=5),
         observables=("n_cavity", "n_qd1", "n_qd2", "g2_zero", "transition_lines"), n_max=3,
     )
-    serial = run_sweep(spec, parallelism=1)
-    statuses = [row["status"] for row in serial.rows]
-    assert statuses == ["error:ValueError"] * 5 + ["ok"] * 40
-    assert 40 > _STACK
-    for parallelism in (2, 3):
-        assert run_sweep(spec, parallelism=parallelism).rows == serial.rows
-    for row in serial.rows:
-        assert evaluate_point(spec, row["omega2"], row["zeta"]) == row
+    return spec, ["error:ValueError"] * 5 + ["ok"] * 40
+
+
+def _failing_in_the_solve(laucht):
+    # dot 2 cut off: at pump2 = 1e-30 its population is left undetermined
+    # (rcond ~ 1e-20), so 20 points fail inside the solve, alternating with
+    # 20 good ones across a stack boundary
+    cut = laucht.replace(gamma2=0.0, pump2=0.0, g2=0.0, tunneling_T=0.0, zeta=0.0)
+    spec = SweepSpec(
+        params=cut,
+        axis1=_axis("kappa", start=0.1, stop=1.0, count=20),
+        axis2=_axis("pump2", start=1e-30, stop=1e-2, count=2),
+        observables=("n_cavity", "n_qd1", "n_qd2", "g2_zero"), n_max=3,
+    )
+    return spec, ["error:DegenerateSteadyStateError", "ok"] * 20
+
+
+def test_states_stay_with_their_points_after_failed_points(laucht):
+    for spec, statuses in (_failing_before_the_solve(laucht), _failing_in_the_solve(laucht)):
+        serial = run_sweep(spec, parallelism=1)
+        assert [row["status"] for row in serial.rows] == statuses
+        assert len(statuses) > _STACK
+        for parallelism in (2, 3):
+            assert run_sweep(spec, parallelism=parallelism).rows == serial.rows
+        for row in serial.rows:
+            assert evaluate_point(spec, row[spec.axis1.name], row[spec.axis2.name]) == row
 
 
 def test_map_starts_no_more_threads_than_tasks(monkeypatch):
