@@ -318,8 +318,10 @@ def g2(params: ModelParams, taus, *, n_max: int = 3) -> list[tuple[float, float]
     rho = steady_state(lio)
     a = annihilation(basis)
     n_avg = _photon_number(number_moments(rho)[0])
-    corr = two_time_correlation(lio, rho, a.dag(), a, a.dag() @ a, taus)
-    normalized = corr.values.real / n_avg**2
+    # a mode sum that overflows is refused below, by delay, rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        corr = two_time_correlation(lio, rho, a.dag(), a, a.dag() @ a, taus)
+        normalized = corr.values.real / n_avg**2
     bad = ~np.isfinite(normalized)
     if bad.any():
         raise UndefinedObservableError(f"g2 is not finite at delay {float(taus[bad][0])}")

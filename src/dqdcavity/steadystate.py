@@ -7,7 +7,10 @@ block out of a dense generator; sector_steady_state builds it straight from
 K, and sector_steady_states builds and solves many points, _STACK at a time.
 This module alone sets that stack bound. Every route hands its blocks to one
 stacked solver, which inverts each trace-row system with numpy and takes the
-exact 1-norm condition number from the inverse; steady_state, which may be
+exact 1-norm condition number from the inverse. The solved stack is read out
+in one pass: its solutions are scattered into density matrices and
+symmetrized together, and each point gets its state or its own error (rcond
+floor, vanishing trace, block residual) as a value. steady_state, which may be
 handed any generator, also checks the residual on all of it.
 """
 
@@ -69,8 +72,8 @@ def steady_state(liouvillian: SuperoperatorMatrix) -> DensityMatrix:
     ket, bra, pos = sector_indices(basis.n_max, 0)
     entries = liouvillian.entries
     rho = _raised(_block_states(basis, entries[np.ix_(pos, pos)][None])[0])
-    _check_residual(entries[:, pos] @ rho.entries[ket, bra], liouvillian.norm_inf(), "L")
-    return rho
+    error = _residual_error(entries[:, pos] @ rho.entries[ket, bra], liouvillian.norm_inf(), "L")
+    return _raised(error or rho)
 
 
 def sector_steady_state(params: ModelParams, basis: CompositeBasis) -> DensityMatrix:
@@ -85,9 +88,9 @@ def sector_steady_state(params: ModelParams, basis: CompositeBasis) -> DensityMa
 def sector_steady_states(coefs, basis: CompositeBasis):
     """sector_steady_state for each row of liouvillian.term_coefficients in coefs, an iterable.
 
-    Yields, in row order, each point's DensityMatrix or the
-    DegenerateSteadyStateError or SteadyStateConvergenceError that its point
-    alone raises. Rows are built and solved _STACK at a time, and lazily, so
+    Yields, in row order, each point's DensityMatrix or its own
+    DegenerateSteadyStateError or SteadyStateConvergenceError, as a value.
+    Rows are built and solved _STACK at a time, and lazily, so
     at most one stack of blocks and states is held. Each state is
     bit-identical to the point's own sector_steady_state.
     """
@@ -112,12 +115,21 @@ def _block_states(basis: CompositeBasis, blocks: np.ndarray) -> list:
             return [state for block in blocks for state in _block_states(basis, block[None])]
         return [DegenerateSteadyStateError(
             "trace-row system is singular: the stationary state is not unique")]
+    rhos = np.zeros((len(blocks), basis.dim, basis.dim), dtype=complex)
+    rhos[:, ket, bra] = xs
+    rhos = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
     states = []
-    for block, x, rcond in zip(blocks, xs, rconds):
-        try:
-            states.append(_state_from_solution(basis, block, x, rcond))
-        except (DegenerateSteadyStateError, SteadyStateConvergenceError) as exc:
-            states.append(exc)
+    for block, rho, rcond in zip(blocks, rhos, rconds):
+        if not np.isfinite(rcond) or rcond < _RCOND_FLOOR:
+            states.append(DegenerateSteadyStateError(
+                f"trace-row system is numerically singular (rcond = {rcond:.2e}): "
+                "the stationary state is not unique"))
+        elif abs(tr := np.trace(rho).real) < 1e-300:
+            states.append(SteadyStateConvergenceError("steady-state candidate has vanishing trace"))
+        else:
+            rho = rho / tr
+            norm = float(np.abs(block).sum(axis=1).max())
+            states.append(_residual_error(block @ rho[ket, bra], norm, "B") or DensityMatrix(basis, rho))
     return states
 
 
@@ -135,33 +147,13 @@ def _solve_trace_rows(blocks: np.ndarray, trace_row: np.ndarray) -> tuple[np.nda
     return inverses[:, :, 0], 1.0 / norms
 
 
-def _state_from_solution(basis: CompositeBasis, block: np.ndarray, x: np.ndarray,
-                         rcond: float) -> DensityMatrix:
-    if not np.isfinite(rcond) or rcond < _RCOND_FLOOR:
-        raise DegenerateSteadyStateError(
-            f"trace-row system is numerically singular (rcond = {rcond:.2e}): "
-            "the stationary state is not unique"
-        )
-    dim = basis.dim
-    ket, bra, _ = sector_indices(basis.n_max, 0)
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[ket, bra] = x
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-300:
-        raise SteadyStateConvergenceError("steady-state candidate has vanishing trace")
-    rho = rho / tr
-
-    _check_residual(block @ rho[ket, bra], float(np.abs(block).sum(axis=1).max()), "B")
-    return DensityMatrix(basis, rho)
-
-
-def _check_residual(residual: np.ndarray, norm: float, name: str) -> None:
+def _residual_error(residual: np.ndarray, norm: float, name: str) -> SteadyStateConvergenceError | None:
     worst = float(np.abs(residual).max())
     if norm > 0 and worst > _RTOL * norm:
-        raise SteadyStateConvergenceError(
+        return SteadyStateConvergenceError(
             f"steady-state residual {worst:.3e} exceeds {_RTOL:.1e} * ||{name}||_inf = {_RTOL * norm:.3e}"
         )
+    return None
 
 
 @functools.lru_cache(maxsize=None)

@@ -90,6 +90,8 @@ CASES = {
                             "--format", "json"], None),
     "g2_tau_max_inf": (["g2", *_SMALL, "--tau-points", "5", "--tau-max-inv-kappa", "inf",
                         "--out", "{d}/g2.csv"], None),
+    # at tau ~ 1e297 the mode sum overflows: a numerical failure, exit code 2
+    "g2_not_finite": (["g2", *_SMALL, "--kappa-mev", "1e-300", "--tau-points", "3"], None),
     "config_model_error": (["steady", "--config", "{d}/run.json"], {"kappa_mev": -1}),
     "sweep_axis_inf": (["sweep", "--n-max", "1", "--axis1", "tunneling_T:0.001:inf:3",
                         "--axis2", "zeta:0.001:10:2", "--format", "csv"], None),

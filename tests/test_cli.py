@@ -178,8 +178,6 @@ def test_degenerate_model_exits_two(capsys):
     assert "at parameter point" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_g2_that_is_not_finite_exits_two(capsys):
     # the delays reach 1e302 hbar/meV, where the mode sum overflows
     code, out, err = _run(capsys, ["g2", "--kappa-mev", "1e-300", "--tau-points", "3"])

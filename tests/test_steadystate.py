@@ -242,6 +242,24 @@ def test_exactly_singular_block_fails_alone(laucht):
         assert np.array_equal(state.entries, sector_steady_state(p, basis).entries)
 
 
+def test_block_residual_failure_stays_with_its_point(laucht, monkeypatch):
+    # with no residual tolerance every solved point misses ||B x|| <= 0: each
+    # failure is its own point's value, in row order, and the single-point
+    # route raises it
+    monkeypatch.setattr(steadystate, "_RTOL", 0.0)
+    basis = CompositeBasis(3)
+    points = [laucht, laucht.replace(tunneling_T=0.3, zeta=0.2), laucht.replace(kappa=0.5)]
+    errors = list(sector_steady_states(_coefficient_rows(points, 3), basis))
+    assert len(errors) == len(points)
+    for error, p in zip(errors, points):
+        assert isinstance(error, SteadyStateConvergenceError)
+        assert "||B||_inf" in str(error)
+        with pytest.raises(SteadyStateConvergenceError, match=r"\|\|B\|\|_inf") as raised:
+            sector_steady_state(p, basis)
+        assert str(raised.value) == str(error)
+    assert len({str(error) for error in errors}) == len(points)
+
+
 def test_exact_rcond_is_within_the_lapack_estimate(laucht):
     # LAPACK's zgecon estimates ||B'^-1||_1 from below, so its rcond is an upper
     # bound on the exact one (to rounding); the floor is at least as strict
