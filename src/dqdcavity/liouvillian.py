@@ -88,15 +88,19 @@ def build_liouvillian(params: ModelParams, basis: CompositeBasis) -> Superoperat
 def sector_indices(n_max: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entries rho[i, j] with N_i - N_j = k: ket indices I, bra indices J and vec positions.
 
-    N is photons plus excitons. Vec position p holds rho[p % d, p // d]; the
-    positions come out ascending. The arrays are read-only.
+    N is photons plus excitons. Vec position p holds rho[p % d, p // d]. For
+    k != 0 the positions come out ascending. For k = 0 they list the diagonal
+    (rho_00 first), then each I < J, then each partner (J, I) in the same
+    order, the layout of steadystate's real solve. The arrays are read-only.
     """
     excitations = level_counts(n_max).sum(axis=0)
     d = excitations.size
     bra, ket = np.divmod(np.arange(d * d), d)
-    keep = excitations[ket] - excitations[bra] == k
-    return (frozen_array(ket[keep], np.intp), frozen_array(bra[keep], np.intp),
-            frozen_array(np.flatnonzero(keep), np.intp))
+    pos = np.flatnonzero(excitations[ket] - excitations[bra] == k)
+    if k == 0:
+        upper = pos[ket[pos] < bra[pos]]
+        pos = np.concatenate([pos[ket[pos] == bra[pos]], upper, ket[upper] * d + bra[upper]])
+    return frozen_array(ket[pos], np.intp), frozen_array(bra[pos], np.intp), frozen_array(pos, np.intp)
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,13 +5,15 @@ both sides (k = N_ket - N_bra = 0), so it is solved on the k = 0 block alone:
 m = 52 unknowns instead of d^2 = 256 at n_max 3. steady_state slices that
 block out of a dense generator; sector_steady_state builds it straight from
 K, and sector_steady_states builds and solves many points, _STACK at a time.
-This module alone sets that stack bound. Every route hands its blocks to one
-stacked solver, which inverts each trace-row system with numpy and takes the
-exact 1-norm condition number from the inverse. The solved stack is read out
-in one pass: its solutions are scattered into density matrices and
-symmetrized together, and each point gets its state or its own error (rcond
-floor, vanishing trace, block residual) as a value. steady_state, which may be
-handed any generator, also checks the residual on all of it.
+This module alone sets that stack bound. Every route hands its complex blocks
+to one stacked solver. A generator that keeps Hermiticity makes each
+trace-row system real in the coordinates (rho_II, Re rho_IJ, Im rho_IJ); the
+solver inverts that real system with numpy and takes the exact 1-norm
+condition number from the inverse. The solved stack is read out in one pass:
+its solutions are scattered into density matrices, Hermitian by
+construction, and each point gets its state or its own error (rcond floor,
+vanishing trace, residual on the complex block) as a value. steady_state,
+which may be handed any generator, also checks the residual on all of it.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def _raised(state):
 def _block_states(basis: CompositeBasis, blocks: np.ndarray) -> list:
     ket, bra, _ = sector_indices(basis.n_max, 0)
     try:
-        xs, rconds = _solve_trace_rows(blocks, ket == bra)
+        xs, rconds = _solve_trace_rows(blocks, basis.dim)
     except np.linalg.LinAlgError:
         # one exactly singular system fails its whole stack; find it point by point
         if len(blocks) > 1:
@@ -117,7 +119,6 @@ def _block_states(basis: CompositeBasis, blocks: np.ndarray) -> list:
             "trace-row system is singular: the stationary state is not unique")]
     rhos = np.zeros((len(blocks), basis.dim, basis.dim), dtype=complex)
     rhos[:, ket, bra] = xs
-    rhos = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
     states = []
     for block, rho, rcond in zip(blocks, rhos, rconds):
         if not np.isfinite(rcond) or rcond < _RCOND_FLOOR:
@@ -133,18 +134,33 @@ def _block_states(basis: CompositeBasis, blocks: np.ndarray) -> list:
     return states
 
 
-def _solve_trace_rows(blocks: np.ndarray, trace_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x with B'x = e_0 and the exact 1-norm rcond of B', for each block B of a (P, m, m) stack.
+def _solve_trace_rows(blocks: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """x with B'x = e_0 and the exact 1-norm rcond of its real form R', for each k = 0 block B of a stack.
 
-    B' is B with its first (redundant) row replaced by the trace functional,
-    so x is column 0 of its inverse and rcond = 1 / (||B'||_1 ||B'^-1||_1).
-    Raises LinAlgError when any B' is exactly singular.
+    B' is B with its first (redundant) row replaced by the trace functional.
+    x lists the d entries rho_II, then rho_IJ for each I < J, then each
+    partner rho_JI. With x = Ty and y = (rho_II, Re rho_IJ, Im rho_IJ), R' =
+    T^-1 B' T is real for a generator that keeps Hermiticity, and is read off
+    the rows of rho_II and rho_IJ alone; one that does not fails the residual
+    on B. y is column 0 of R'^-1, and rcond = 1 / (||R'||_1 ||R'^-1||_1).
+    Raises LinAlgError when any R' is exactly singular.
     """
-    systems = blocks.copy()
-    systems[:, 0, :] = trace_row
+    h = (blocks.shape[-1] + d) // 2
+    top = blocks[:, :h]
+    sums, diffs = top[..., d:h] + top[..., h:], top[..., d:h] - top[..., h:]
+    systems = np.empty(blocks.shape)
+    systems[:, :h, :d], systems[:, h:, :d] = top[..., :d].real, top[:, d:, :d].imag
+    systems[:, :h, d:h], systems[:, h:, d:h] = sums.real, sums[:, d:].imag
+    systems[:, :h, h:], systems[:, h:, h:] = -diffs.imag, diffs[:, d:].real
+    # T leaves row 0, rho_00's, as it is, so the trace row is set after it
+    systems[:, 0] = 0.0
+    systems[:, 0, :d] = 1.0
     inverses = np.linalg.inv(systems)
     norms = np.abs(systems).sum(axis=1).max(axis=1) * np.abs(inverses).sum(axis=1).max(axis=1)
-    return inverses[:, :, 0], 1.0 / norms
+    xs = inverses[:, :, 0].astype(complex)
+    xs[:, d:h].imag = xs[:, h:].real
+    xs[:, h:] = xs[:, d:h].conj()
+    return xs, 1.0 / norms
 
 
 def _residual_error(residual: np.ndarray, norm: float, name: str) -> SteadyStateConvergenceError | None:

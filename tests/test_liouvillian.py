@@ -183,7 +183,8 @@ def _random_params(rng, *, gains=True, zeta=True):
 
 
 def test_sector_indices_partition_the_vec_positions():
-    # every rho[i, j] belongs to exactly one sector k = N_i - N_j, listed in vec order
+    # every rho[i, j] belongs to exactly one sector k = N_i - N_j, listed in vec
+    # order for k != 0; k = 0 lists the diagonal, each I < J, then each partner
     a, s1, s2 = oracles.index_built_operators(2)
     n = np.rint(np.diag(a.conj().T @ a + s1.conj().T @ s1 + s2.conj().T @ s2).real)
     d = n.size
@@ -194,7 +195,13 @@ def test_sector_indices_partition_the_vec_positions():
         assert np.all(n[ket] - n[bra] == k)
         labels = np.arange(d * d).reshape(d, d)
         assert np.array_equal(vec(labels)[pos], labels[ket, bra])
-        assert np.all(np.diff(pos) > 0)
+        if k == 0:
+            h = (pos.size + d) // 2
+            assert np.array_equal(ket[:d], np.arange(d)) and np.array_equal(bra[:d], np.arange(d))
+            assert np.all(ket[d:h] < bra[d:h]) and np.all(np.diff(pos[d:h]) > 0)
+            assert np.array_equal(ket[h:], bra[d:h]) and np.array_equal(bra[h:], ket[d:h])
+        else:
+            assert np.all(np.diff(pos) > 0)
         seen.extend(pos)
     assert sorted(seen) == list(range(d * d))
 

@@ -30,6 +30,7 @@ from dqdcavity.steadystate import (
 )
 
 import oracles
+from test_liouvillian import _random_params
 
 
 def _single_dot_params(pump, decay):
@@ -181,6 +182,46 @@ def test_generator_that_breaks_n_is_refused(laucht):
         steady_state(SuperoperatorMatrix(basis, lop.entries + drive))
 
 
+def test_generator_that_breaks_hermiticity_is_refused(laucht):
+    # -i[h, .] with h = 0.1i sigma1^dag sigma1 keeps N, so it stays on the k = 0
+    # block, but takes Hermitian rho to anti-Hermitian; the real solve drops
+    # that part, and only the residual on the complex block sees it
+    basis = CompositeBasis(2)
+    s1 = qubit_lowering(basis, 1).entries
+    h = 0.1j * (s1.conj().T @ s1)
+    eye = np.eye(basis.dim)
+    drift = np.kron(eye, -1j * h) + np.kron(1j * h.T, eye)
+    lop = build_liouvillian(laucht, basis)
+    with pytest.raises(SteadyStateConvergenceError, match=r"\|\|B\|\|_inf"):
+        steady_state(SuperoperatorMatrix(basis, lop.entries + drift))
+
+
+def _real_transform(n_max):
+    # T with x = Ty for y = (rho_II, Re rho_IJ, Im rho_IJ) on the k = 0 layout, and T^-1
+    d, m = CompositeBasis(n_max).dim, sector_indices(n_max, 0)[0].size
+    eye = np.eye((m - d) // 2)
+    t, t_inv = np.eye(m, dtype=complex), np.eye(m, dtype=complex)
+    t[d:, d:] = np.block([[eye, 1j * eye], [eye, -1j * eye]])
+    t_inv[d:, d:] = np.block([[0.5 * eye, 0.5 * eye], [-0.5j * eye, 0.5j * eye]])
+    return t, t_inv
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_real_solve_matches_the_null_vector_and_drops_only_zeros(n_max):
+    # every state agrees with the oracle's null vector and is Hermitian bit for
+    # bit; the imaginary part of T^-1 B T that the real solve drops is 0.0
+    rng = np.random.default_rng(70 + n_max)
+    basis = CompositeBasis(n_max)
+    points = [_random_params(rng) for _ in range(3)]
+    coefs = _coefficient_rows(points, n_max)
+    for p, state in zip(points, sector_steady_states(coefs, basis)):
+        want = oracles.null_vector_state(_oracle_generator(p, basis))
+        assert np.abs(state.entries - want).max() < 1e-12
+        assert np.array_equal(state.entries, state.entries.conj().T)
+    t, t_inv = _real_transform(n_max)
+    assert np.all((t_inv @ sector_blocks(coefs, n_max, 0) @ t).imag == 0.0)
+
+
 def _coefficient_rows(points, n_max):
     return np.array([term_coefficients(p, n_max) for p in points])
 
@@ -248,7 +289,7 @@ def test_block_residual_failure_stays_with_its_point(laucht, monkeypatch):
     # route raises it
     monkeypatch.setattr(steadystate, "_RTOL", 0.0)
     basis = CompositeBasis(3)
-    points = [laucht, laucht.replace(tunneling_T=0.3, zeta=0.2), laucht.replace(kappa=0.5)]
+    points = [laucht, laucht.replace(tunneling_T=0.3, zeta=1.0), laucht.replace(kappa=0.5)]
     errors = list(sector_steady_states(_coefficient_rows(points, 3), basis))
     assert len(errors) == len(points)
     for error, p in zip(errors, points):
@@ -261,19 +302,21 @@ def test_block_residual_failure_stays_with_its_point(laucht, monkeypatch):
 
 
 def test_exact_rcond_is_within_the_lapack_estimate(laucht):
-    # LAPACK's zgecon estimates ||B'^-1||_1 from below, so its rcond is an upper
-    # bound on the exact one (to rounding); the floor is at least as strict
+    # the system solved is the real R' = T^-1 B' T; LAPACK's dgecon estimates
+    # ||R'^-1||_1 from below, so its rcond is an upper bound on the exact one
+    # (to rounding); the floor is at least as strict
     lapack = pytest.importorskip("scipy.linalg").lapack
     rng = np.random.default_rng(15)
     points = [laucht.replace(tunneling_T=t, zeta=z) for t, z in 10.0 ** rng.uniform(-3, 1, (12, 2))]
     blocks = sector_blocks(_coefficient_rows(points, 3), 3, 0)
     ket, bra, _ = sector_indices(3, 0)
-    _, rconds = _solve_trace_rows(blocks, ket == bra)
+    _, rconds = _solve_trace_rows(blocks, CompositeBasis(3).dim)
+    t, t_inv = _real_transform(3)
     for block, rcond in zip(blocks, rconds):
-        system = np.array(block, order="F")
-        system[0, :] = ket == bra
-        lu, _, info = lapack.zgetrf(system)
+        block[0, :] = ket == bra
+        system = np.array((t_inv @ block @ t).real, order="F")
+        lu, _, info = lapack.dgetrf(system)
         assert info == 0
-        estimate, info = lapack.zgecon(lu, np.abs(system).sum(axis=0).max(), norm="1")
+        estimate, info = lapack.dgecon(lu, np.abs(system).sum(axis=0).max(), norm="1")
         assert info == 0
         assert estimate / 1.5 <= rcond <= estimate * (1.0 + 1e-12)
