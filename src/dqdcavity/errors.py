@@ -14,7 +14,7 @@ class SteadyStateConvergenceError(RuntimeError):
 
 
 class DiagonalizationError(RuntimeError):
-    """Dense eigendecomposition of the Liouvillian failed."""
+    """A generator eigenbasis failed or missed its t = 0 value; no other route is tried."""
 
 
 class UndefinedObservableError(RuntimeError):

@@ -12,8 +12,9 @@ solver inverts that real system with numpy and takes the exact 1-norm
 condition number from the inverse. The solved stack is read out in one pass:
 its solutions are scattered into density matrices, Hermitian by
 construction, and each point gets its state or its own error (rcond floor,
-vanishing trace, residual on the complex block) as a value. steady_state,
-which may be handed any generator, also checks the residual on all of it.
+or a residual on the complex block that is not within bound, NaN included)
+as a value. steady_state, which may be handed any generator, also checks
+the residual on all of it.
 """
 
 from __future__ import annotations
@@ -121,14 +122,12 @@ def _block_states(basis: CompositeBasis, blocks: np.ndarray) -> list:
     rhos[:, ket, bra] = xs
     states = []
     for block, rho, rcond in zip(blocks, rhos, rconds):
-        if not np.isfinite(rcond) or rcond < _RCOND_FLOOR:
+        if not rcond >= _RCOND_FLOOR:  # NaN fails too
             states.append(DegenerateSteadyStateError(
                 f"trace-row system is numerically singular (rcond = {rcond:.2e}): "
                 "the stationary state is not unique"))
-        elif abs(tr := np.trace(rho).real) < 1e-300:
-            states.append(SteadyStateConvergenceError("steady-state candidate has vanishing trace"))
         else:
-            rho = rho / tr
+            rho = rho / np.trace(rho).real
             norm = float(np.abs(block).sum(axis=1).max())
             states.append(_residual_error(block @ rho[ket, bra], norm, "B") or DensityMatrix(basis, rho))
     return states
@@ -165,7 +164,7 @@ def _solve_trace_rows(blocks: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarra
 
 def _residual_error(residual: np.ndarray, norm: float, name: str) -> SteadyStateConvergenceError | None:
     worst = float(np.abs(residual).max())
-    if norm > 0 and worst > _RTOL * norm:
+    if not worst <= _RTOL * norm:  # NaN fails too
         return SteadyStateConvergenceError(
             f"steady-state residual {worst:.3e} exceeds {_RTOL:.1e} * ||{name}||_inf = {_RTOL * norm:.3e}"
         )

@@ -10,6 +10,10 @@ program compare byte for byte:
 
     diff -r before/ after/
 
+Run both snapshots under the same BLAS setting (e.g. the same
+``OPENBLAS_NUM_THREADS``): g2's last digits, and whether the ``g2_not_finite``
+case is refused, move with the BLAS thread count.
+
 Pytest does not collect this file; it is a byte gate for changes that must
 not alter what the CLI writes.
 """

@@ -437,6 +437,7 @@ def test_console_script_entry_point():
 
 _NO_SCIPY_CHILD = """
 import contextlib, io, sys, tempfile
+import numpy as np
 import dqdcavity, dqdcavity.cli
 small = ["--preset", "laucht-strong", "--n-max", "2"]
 grid = ["--axis1", "tunneling_T:0.01:1:3", "--axis2", "zeta:0.01:1:3"]
@@ -447,12 +448,23 @@ with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringI
                  ["figures", *small, "--which", "2", "--zeta-points", "2", "--out", out],
                  ["g2", *small]):
         assert dqdcavity.cli.main(argv) == 0, argv
+# an unusable eigenbasis is refused, not propagated by another route
+basis = dqdcavity.CompositeBasis(1)
+a = dqdcavity.annihilation(basis)
+rho = dqdcavity.steady_state(dqdcavity.build_liouvillian(dqdcavity.preset("laucht-strong"), basis))
+jordan = dqdcavity.SuperoperatorMatrix(basis, np.eye(basis.dim**2, k=-1))
+try:
+    dqdcavity.two_time_correlation(jordan, rho, a.dag(), a, a.dag() @ a, [0.0, 1.0])
+except dqdcavity.DiagonalizationError:
+    pass
+else:
+    raise AssertionError("the Jordan block was not refused")
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
 def test_no_workload_imports_scipy():
-    # scipy is needed only for the expm fallback and find_spectrum_peaks
+    # find_spectrum_peaks is the only scipy user
     src = str(Path(dqdcavity.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -9,6 +9,7 @@ from dqdcavity import (
     DiagonalizationError,
     OperatorMatrix,
     SpectrumResult,
+    SuperoperatorMatrix,
     UndefinedObservableError,
     annihilation,
     build_liouvillian,
@@ -64,21 +65,21 @@ def test_eigen_and_expm_propagation_agree(laucht):
     assert np.abs(ev.values - ex).max() < 1e-8 * scale
 
 
-def test_expm_fallback_runs_when_eigenbasis_fails(laucht, monkeypatch):
-    def broken(*args):
-        raise DiagonalizationError("eigenbasis rejected on purpose")
-
-    monkeypatch.setattr(dynamics, "_mode_weights", broken)
+@pytest.mark.parametrize("shift, match", [(0.0, "eigendecomposition failed"),
+                                          (1e-6, "reconstruction off by nan")],
+                         ids=["jordan", "near_defective"])
+def test_correlation_raises_when_eigenbasis_fails(laucht, shift, match):
+    # an exact Jordan block leaves the eigenvector matrix singular; shifting its
+    # diagonal by 1e-6 k makes it invertible, but the coefficients overflow and
+    # the t = 0 reconstruction reads nan, which must be refused rather than summed
     basis = CompositeBasis(1)
-    lop = build_liouvillian(laucht, basis)
-    rho = steady_state(lop)
+    rho = steady_state(build_liouvillian(laucht, basis))
+    gen = np.eye(basis.dim**2, k=-1) - np.diag(shift * np.arange(basis.dim**2))
     a = annihilation(basis)
-    one = OperatorMatrix(basis, np.eye(basis.dim))
-    taus = np.linspace(0.0, 40.0, 9)
-    corr = two_time_correlation(lop, rho, a.dag(), one, a, taus)
-    assert corr.used_expm_fallback
-    want = _oracle_first_order(laucht, basis, taus)
-    assert np.abs(corr.values - want).max() < 1e-8 * np.abs(want[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DiagonalizationError, match=match):
+            two_time_correlation(SuperoperatorMatrix(basis, gen), rho, a.dag(), a, a.dag() @ a,
+                                 np.linspace(0.0, 10.0, 3))
 
 
 def test_empty_cavity_coherence_decay_closed_form(laucht):

@@ -168,18 +168,31 @@ def test_number_moments_match_operator_expectations(laucht):
     assert np.allclose(number_moments(rho), want, rtol=1e-13, atol=0.0)
 
 
-def test_generator_that_breaks_n_is_refused(laucht):
-    # a coherent cavity drive -i[a + a^dag, .] couples k = 0 to k = +-1, which
-    # the k = 0 solve never sees; only the residual on the whole generator does
-    basis = CompositeBasis(2)
+def _cavity_drive(basis):
+    # a coherent cavity drive -i[a + a^dag, .] couples k = 0 to k = +-1
     a = annihilation(basis).entries
     h = 0.1 * (a + a.conj().T)
     eye = np.eye(basis.dim)
-    drive = np.kron(eye, -1j * h) + np.kron(1j * h.T, eye)
+    return np.kron(eye, -1j * h) + np.kron(1j * h.T, eye)
+
+
+def _nan_out_of_sector(basis):
+    # one nan entry moving weight from rho_00 to a position outside k = 0
+    pos = sector_indices(basis.n_max, 0)[2]
+    extra = np.zeros((basis.dim**2, basis.dim**2), dtype=complex)
+    extra[np.setdiff1d(np.arange(basis.dim**2), pos)[0], pos[0]] = np.nan
+    return extra
+
+
+@pytest.mark.parametrize("extra", [_cavity_drive, _nan_out_of_sector], ids=["drive", "nan_entry"])
+def test_generator_that_breaks_n_is_refused(laucht, extra):
+    # the k = 0 solve never sees entries that leave the sector; only the
+    # residual on the whole generator does, and a nan residual fails it too
+    basis = CompositeBasis(2)
     lop = build_liouvillian(laucht, basis)
     steady_state(lop)  # the undriven generator passes
     with pytest.raises(SteadyStateConvergenceError, match=r"\|\|L\|\|"):
-        steady_state(SuperoperatorMatrix(basis, lop.entries + drive))
+        steady_state(SuperoperatorMatrix(basis, lop.entries + extra(basis)))
 
 
 def test_generator_that_breaks_hermiticity_is_refused(laucht):
