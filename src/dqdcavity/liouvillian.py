@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import CompositeBasis, frozen_array, level_counts
-from .model import ModelParams, coefficients, hamiltonian, jump_operators, model_terms
+from .model import ModelParams, coefficients, model_terms
+# bound here only because perfbench/tracing.py patches them under these names
+from .model import hamiltonian, jump_operators  # noqa: F401
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -59,15 +61,6 @@ class SuperoperatorMatrix:
 
     def norm_inf(self) -> float:
         return float(np.abs(self.entries).sum(axis=1).max())
-
-
-def effective_hamiltonian(params: ModelParams, basis: CompositeBasis) -> np.ndarray:
-    """K = -iH - sum_k r_k O_k^dag O_k / 2."""
-    k = -1j * hamiltonian(params, basis).entries
-    for rate, op in jump_operators(params, basis):
-        o = op.entries
-        k -= 0.5 * rate * (o.conj().T @ o)
-    return k
 
 
 def build_liouvillian(params: ModelParams, basis: CompositeBasis) -> SuperoperatorMatrix:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import G, X, CompositeBasis, frozen_array
-from .liouvillian import build_liouvillian, effective_hamiltonian, unvec
-from .model import ModelParams, phat_rates
+from .liouvillian import build_liouvillian, unvec
+from .model import ModelParams, hamiltonian, jump_operators, phat_rates
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,10 @@ def transition_matrix_generic(params: ModelParams, basis: CompositeBasis) -> np.
     the block is K on the one-excitation kets. Must agree with
     transition_matrix_explicit to machine precision.
     """
-    k = effective_hamiltonian(_gains_off(params), basis)
+    off = _gains_off(params)
+    k = -1j * hamiltonian(off, basis).entries
+    for rate, op in jump_operators(off, basis):
+        k -= 0.5 * rate * (op.entries.conj().T @ op.entries)
     _, one = _manifold_indices(basis)
     return k[np.ix_(one, one)]
 

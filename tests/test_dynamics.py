@@ -65,20 +65,26 @@ def test_eigen_and_expm_propagation_agree(laucht):
     assert np.abs(ev.values - ex).max() < 1e-8 * scale
 
 
-@pytest.mark.parametrize("shift, match", [(0.0, "eigendecomposition failed"),
-                                          (1e-6, "reconstruction off by nan")],
-                         ids=["jordan", "near_defective"])
-def test_correlation_raises_when_eigenbasis_fails(laucht, shift, match):
+@pytest.mark.parametrize("band, shift, seeded_by_a, match",
+                         [(-1, 0.0, True, "eigendecomposition failed"),
+                          (-1, 1e-6, True, "reconstruction off by nan"),
+                          (1, 1e-6, False, "reconstruction off by")],
+                         ids=["jordan", "near_defective", "cancelling_weights"])
+def test_correlation_raises_when_eigenbasis_fails(laucht, band, shift, seeded_by_a, match):
     # an exact Jordan block leaves the eigenvector matrix singular; shifting its
     # diagonal by 1e-6 k makes it invertible, but the coefficients overflow and
-    # the t = 0 reconstruction reads nan, which must be refused rather than summed
+    # the t = 0 reconstruction reads nan, which must be refused rather than summed.
+    # On the upper band with identity operators the weights stay finite, near
+    # 1e291, and cancel to a wrong G(0) that only a scale set by the seed catches.
     basis = CompositeBasis(1)
     rho = steady_state(build_liouvillian(laucht, basis))
-    gen = np.eye(basis.dim**2, k=-1) - np.diag(shift * np.arange(basis.dim**2))
+    gen = np.eye(basis.dim**2, k=band) - np.diag(shift * np.arange(basis.dim**2))
     a = annihilation(basis)
+    one = OperatorMatrix(basis, np.eye(basis.dim))
+    ops = (a.dag(), a, a.dag() @ a) if seeded_by_a else (one, one, one)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DiagonalizationError, match=match):
-            two_time_correlation(SuperoperatorMatrix(basis, gen), rho, a.dag(), a, a.dag() @ a,
+            two_time_correlation(SuperoperatorMatrix(basis, gen), rho, *ops,
                                  np.linspace(0.0, 10.0, 3))
 
 
@@ -136,6 +142,24 @@ def test_non_finite_delays_are_refused(laucht, bad, monkeypatch):
     monkeypatch.setattr(dynamics, "build_liouvillian", build)
     with pytest.raises(ValueError, match="finite"):
         g2(laucht, [1.0, bad], n_max=7)
+
+
+def test_g2_takes_its_state_from_the_sector_solve(laucht, monkeypatch):
+    # the k = 0 solve and the dense generator's steady state are the same
+    # numbers, since build_liouvillian scatters the very blocks the solve uses
+    basis = CompositeBasis(2)
+    taus = np.linspace(0.0, 20.0, 5)
+    lop = build_liouvillian(laucht, basis)
+    rho = steady_state(lop)
+    a = annihilation(basis)
+    n_avg = dynamics.number_moments(rho)[0]
+    want = two_time_correlation(lop, rho, a.dag(), a, a.dag() @ a, taus).values.real / n_avg**2
+
+    def dense(*args):
+        raise AssertionError("g2 solved the dense generator for its state")
+
+    monkeypatch.setattr(dynamics, "steady_state", dense)
+    assert g2(laucht, taus, n_max=2) == [(float(t), float(v)) for t, v in zip(taus, want)]
 
 
 def test_g2_refuses_values_that_are_not_finite(laucht):
