@@ -7,8 +7,8 @@ same way and explicit flags take precedence; the fully resolved configuration
 is echoed into output metadata so any run can be reproduced from its own
 artifact.
 
-Exit codes: 0 success, 1 configuration error (offending field named), 2
-numerical failure (failing parameter point printed).
+Exit codes: 0 success, 1 configuration error (offending field named) or unwritable
+output, 2 numerical failure (an errors.NumericalError; failing parameter point printed).
 """
 
 from __future__ import annotations
@@ -24,12 +24,7 @@ import numpy as np
 
 from ._version import __version__
 from .dynamics import default_omega_grid, g2, pl_spectrum
-from .errors import (
-    DegenerateSteadyStateError,
-    DiagonalizationError,
-    SteadyStateConvergenceError,
-    UndefinedObservableError,
-)
+from .errors import NumericalError
 from .manifold import transition_lines
 from .model import ModelParams, preset, preset_names
 from .steadystate import steady_observables
@@ -44,13 +39,6 @@ from .sweep import (
 )
 
 SCHEMA_VERSION = "dqdcavity-output-v1"
-
-_NUMERICAL_ERRORS = (
-    DegenerateSteadyStateError,
-    SteadyStateConvergenceError,
-    DiagonalizationError,
-    UndefinedObservableError,
-)
 
 # flag destination -> ModelParams field
 _PARAM_DESTS = {
@@ -461,18 +449,15 @@ def main(argv=None) -> int:
         overrides = {field: getattr(ns, dest) for dest, field in _PARAM_DESTS.items()}
         params = preset(ns.preset, **{k: v for k, v in overrides.items() if v is not None})
         return _COMMANDS[ns.subcommand](ns, params)
-    except (CliConfigError, ValueError) as exc:
+    except (CliConfigError, ValueError, OSError) as exc:
         # _parse names the config file in its own errors; later checks see merged flags
         path = getattr(ns, "config", None)
         merged = f" (flags merged from config file {path!r})" if path else ""
         print(f"configuration error: {exc}{merged}", file=sys.stderr)
         return 1
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        print(
-            "at parameter point: " + json.dumps(params.as_dict(), sort_keys=True),
-            file=sys.stderr,
-        )
+    except NumericalError as exc:
+        point = json.dumps(params.as_dict(), sort_keys=True)
+        print(f"numerical failure: {exc}\nat parameter point: {point}", file=sys.stderr)
         return 2
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .hilbert import CompositeBasis, OperatorMatrix, annihilation, frozen_array, qubit_lowering
 
 BOLTZMANN_MEV_PER_K = 0.08617333
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 _RATE_FIELDS = ("g1", "g2", "gamma1", "gamma2", "pump1", "pump2", "cavity_pump", "kappa", "zeta")
 
@@ -147,7 +148,9 @@ def thermal_occupation(delta: float, temperature: float) -> float:
         raise ValueError(f"delta must be > 0 for a thermal factor, got {delta!r}")
     if temperature <= 0.0:
         raise ValueError(f"temperature must be > 0, got {temperature!r}")
-    return 1.0 / np.expm1(delta / (BOLTZMANN_MEV_PER_K * temperature))
+    x = delta / (BOLTZMANN_MEV_PER_K * temperature)
+    # expm1 overflows past log(DBL_MAX); there 1/expm1(x) is exp(-x) to double precision
+    return 1.0 / np.expm1(x) if x <= _LOG_DBL_MAX else math.exp(-x)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ coordinate-ordered table, so a sweep is reproducible bit for bit. A chunk
 hands all its steady states to steadystate.sector_steady_states in one call;
 that module owns the stack bound, solving a stack of points per numpy call
 that releases the interpreter lock, and no point's result depends on its
-stack. A point that fails (for example zeta > 0 with zero detuning) is an
-error row, never an abort.
+stack. A point that fails with a ValueError or an errors.NumericalError (for
+example zeta > 0 with zero detuning) is an error row that holds no values;
+any other exception is a bug and ends the sweep.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from ._version import __version__
 from .dynamics import SpectrumResult, g2_zero_from_state, pl_spectrum
+from .errors import NumericalError
 from .hilbert import CompositeBasis, frozen_array
 from .liouvillian import term_coefficients
 from .manifold import TransitionLine, transition_lines
@@ -37,8 +39,8 @@ ALLOWED_OBSERVABLES = SCALAR_OBSERVABLES + ("transition_lines",)
 
 _PARAM_NAMES = tuple(f.name for f in dataclasses.fields(ModelParams))
 
-# what a failed grid point raises; it becomes the point's error row
-_POINT_ERRORS = (ValueError, RuntimeError, ArithmeticError)
+# what a failed grid point raises (see errors.py); any other exception is a bug and propagates
+_POINT_ERRORS = (ValueError, NumericalError)
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,8 @@ class SweepResult:
     """Coordinate-ordered sweep table plus run metadata.
 
     rows hold one dict per grid point (axis1-major order) with every column
-    present; errored points carry None values, a status code, and the error
-    text.
+    present; an errored point carries None in every value column, a status
+    code and the error text, and is never partly filled.
     """
 
     columns: tuple[str, ...]
@@ -204,49 +206,51 @@ def _map(fn, tasks: list, parallelism: int) -> list:
         return [out for outs in pool.map(fn, chunks) for out in outs]
 
 
+def _attempt(fn, *args):
+    """fn(*args), or the point error that it raised, as a value."""
+    try:
+        return fn(*args)
+    except _POINT_ERRORS as exc:
+        return exc
+
+
 def _evaluate(spec: SweepSpec, tasks: list) -> list[dict]:
-    """Rows of consecutive grid points; a point's error becomes its row.
+    """Rows of consecutive grid points, each with all its values or with its error and none.
 
     The points whose params and term coefficients build go to
     sector_steady_states in one call, and each of their rows takes its state
     as the row is written, so at most one stack of builds and states is held.
     """
-    def build(task):
-        try:
-            point = spec.params.replace(**{spec.axis1.name: task[0], spec.axis2.name: task[1]})
-            return point, term_coefficients(point, spec.n_max)
-        except _POINT_ERRORS as exc:
-            return exc
+    def build(value1, value2):
+        point = spec.params.replace(**{spec.axis1.name: value1, spec.axis2.name: value2})
+        return point, term_coefficients(point, spec.n_max)
+
+    def read_out(point, rho):
+        values = {k: v for k, v in occupations(rho).items() if k in columns} if wants_state else {}
+        if "g2_zero" in spec.observables:
+            values["g2_zero"] = g2_zero_from_state(rho)
+        if "transition_lines" in spec.observables:
+            for k, line in enumerate(transition_lines(point), start=1):
+                values[f"line{k}_frequency_mev"] = line.frequency
+                values[f"line{k}_hwhm_mev"] = line.hwhm
+        return values
+
     # the solver builds a stack ahead of the rows, so builds overlap other threads' solves
-    outcomes, ahead = itertools.tee(map(build, tasks))
+    outcomes, ahead = itertools.tee(_attempt(build, *task) for task in tasks)
     coefs = (o[1] for o in ahead if not isinstance(o, Exception))
     states = sector_steady_states(coefs, CompositeBasis(spec.n_max))
     wants_state = any(name in spec.observables for name in SCALAR_OBSERVABLES)
+    columns = spec.columns()
     rows = []
     for (value1, value2), outcome in zip(tasks, outcomes):
-        row = dict.fromkeys(spec.columns())
-        row[spec.axis1.name] = value1
-        row[spec.axis2.name] = value2
-        try:
-            if isinstance(outcome, Exception):
-                raise outcome
-            point, _ = outcome
-            if wants_state:
-                rho = next(states)
-                if isinstance(rho, Exception):
-                    raise rho
-                row.update((k, v) for k, v in occupations(rho).items() if k in spec.observables)
-                if "g2_zero" in spec.observables:
-                    row["g2_zero"] = g2_zero_from_state(rho)
-            if "transition_lines" in spec.observables:
-                for k, line in enumerate(transition_lines(point), start=1):
-                    row[f"line{k}_frequency_mev"] = line.frequency
-                    row[f"line{k}_hwhm_mev"] = line.hwhm
-            row["status"] = "ok"
-            row["error"] = ""
-        except _POINT_ERRORS as exc:
-            row["status"] = f"error:{type(exc).__name__}"
-            row["error"] = str(exc)
+        if not isinstance(outcome, Exception):
+            rho = next(states) if wants_state else None
+            outcome = rho if isinstance(rho, Exception) else _attempt(read_out, outcome[0], rho)
+        row = dict.fromkeys(columns) | {spec.axis1.name: value1, spec.axis2.name: value2}
+        if isinstance(outcome, Exception):
+            row.update(status=f"error:{type(outcome).__name__}", error=str(outcome))
+        else:
+            row.update(outcome, status="ok", error="")
         rows.append(row)
     return rows
 
@@ -309,15 +313,13 @@ def run_spectra_panel(
     CompositeBasis(n_max)  # raises on an invalid cutoff before any point runs
     zeta_values = np.asarray(zeta_values, dtype=float)
 
+    def solve(tun, z):
+        p = params.replace(tunneling_T=tun, zeta=z)
+        return "ok", pl_spectrum(p, n_max=n_max), transition_lines(p)
+
     def point(task):
-        tun, z = task
-        try:
-            p = params.replace(tunneling_T=float(tun), zeta=float(z))
-            spectrum = pl_spectrum(p, n_max=n_max)
-            lines = transition_lines(p)
-            return "ok", spectrum, lines
-        except _POINT_ERRORS as exc:
-            return f"error:{type(exc).__name__}: {exc}", None, None
+        out = _attempt(solve, *task)
+        return (f"error:{type(out).__name__}: {out}", None, None) if isinstance(out, Exception) else out
 
     tunnelings = [float(tun) for tun in tunneling_values]
     tasks = [(tun, float(z)) for tun in tunnelings for z in zeta_values]

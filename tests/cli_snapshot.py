@@ -71,6 +71,12 @@ CASES = {
                             "--axis1", "kappa:0.1:1:3", "--axis2", "pump2:1e-30:1e-2:2",
                             "--observables", "n_cavity,n_qd2,g2_zero",
                             "--out", "{d}/sweep.csv"], None),
+    # no gain: the occupations read out before g2 fails on the empty cavity, and
+    # each row must still hold no values next to its error
+    "sweep_observable_errors": (["sweep", *_SMALL, *_DARK, "--axis1", "tunneling_T:0.01:1:2",
+                                 "--axis2", "zeta:0.01:1:2",
+                                 "--observables", "n_cavity,g2_zero,transition_lines",
+                                 "--out", "{d}/sweep.csv"], None),
     "sweep_rejects_spectrum": (["sweep", *_SMALL, "--observables", "n_cavity,spectrum"], None),
     "figures_2": (["figures", *_SMALL, "--which", "2", "--zeta-points", "3",
                    "--parallelism", "2", "--out", "{d}/fig"], None),

@@ -12,7 +12,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import dqdcavity
-from dqdcavity import load_output_schema, preset
+from dqdcavity import errors, load_output_schema, preset
 from dqdcavity.cli import main
 
 
@@ -185,6 +185,38 @@ def test_g2_that_is_not_finite_exits_two(capsys):
     assert out == ""
     assert "numerical failure: g2 is not finite at delay 1e+297" in err
     assert '"kappa": 1e-300' in err
+
+
+def test_numerical_errors_share_one_base():
+    # the CLI's exit 2 and a sweep's error rows both key on this base
+    for error in (errors.DegenerateSteadyStateError, errors.SteadyStateConvergenceError,
+                  errors.DiagonalizationError, errors.UndefinedObservableError):
+        assert issubclass(error, errors.NumericalError)
+        assert issubclass(error, RuntimeError)
+    assert "NumericalError" not in dqdcavity.__all__
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["steady", "--n-max", "1", "--out", "{missing}/steady.json"],
+        ["sweep", "--n-max", "1", "--axis1", "tunneling_T:0.01:1:2", "--axis2", "zeta:0.01:1:2",
+         "--out", "{missing}/sweep.csv"],
+        ["figures", "--n-max", "1", "--which", "1", "--grid-points", "2", "--out", "{file}"],
+    ],
+    ids=["steady", "sweep", "figures"],
+)
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    code, out, err = _run(capsys, [
+        a.format(missing=tmp_path / "missing", file=taken) for a in argv
+    ])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("configuration error: [Errno ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 def test_spectrum_eigendecomposition_failure_exits_two(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,14 @@ def test_thermal_occupation_against_closed_form():
 def test_thermal_occupation_reference_point():
     # 0.1 meV detuning at 4 K sits near three phonons
     assert thermal_occupation(0.1, 4.0) == pytest.approx(2.97, abs=0.01)
+
+
+def test_thermal_occupation_is_quiet_past_expm1_overflow():
+    # delta / (kB T) = 2321, far past where expm1 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = thermal_occupation(200.0, 1.0)
+    assert np.isfinite(value) and value >= 0.0
 
 
 def test_thermal_occupation_rejects_bad_input():

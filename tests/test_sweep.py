@@ -127,21 +127,50 @@ def test_transition_line_columns_match_transition_lines(laucht):
         assert row[f"line{k}_hwhm_mev"] == line.hwhm
 
 
-def test_error_rows_write_empty_cells(laucht):
+@pytest.mark.parametrize(
+    ("point", "observables", "n_max", "status"),
+    [
+        # omega2 == omega1 with zeta > 0: every point fails before its solve
+        (lambda p: p.replace(omega2=p.omega1, zeta=0.0), ("n_cavity", "transition_lines"), 1,
+         "error:ValueError"),
+        # no gain: the occupations read out, then g2 fails on the empty cavity
+        (lambda p: p.replace(pump1=0.0, pump2=0.0, cavity_pump=0.0),
+         ("n_cavity", "n_qd1", "g2_zero", "transition_lines"), 2,
+         "error:UndefinedObservableError"),
+    ],
+    ids=["degenerate", "no_gain"],
+)
+def test_error_rows_write_empty_cells(laucht, point, observables, n_max, status):
     spec = SweepSpec(
-        params=laucht.replace(omega2=laucht.omega1, zeta=0.0),
+        params=point(laucht),
         axis1=_axis(count=2), axis2=_axis("zeta", count=2),
-        observables=("n_cavity", "transition_lines"), n_max=1,
+        observables=observables, n_max=n_max,
     )
     result = run_sweep(spec)
+    assert all(row[c] is None for row in result.rows for c in result.columns[2:-2])
     rows = list(csv.reader(io.StringIO(result.to_csv())))
     assert len(rows) == 5
     for row in rows[1:]:
         cells = dict(zip(rows[0], row))
-        assert cells["status"] == "error:ValueError"
+        assert cells["status"] == status
         assert cells["error"]
         data = [v for c, v in cells.items() if c not in ("tunneling_T", "zeta", "status", "error")]
         assert data and all(v == "" for v in data)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_other_exceptions_propagate_out_of_sweeps(laucht, monkeypatch, parallelism):
+    # a ZeroDivisionError is a bug, not a point failure: no error row or status hides it
+    def broken(params):
+        raise ZeroDivisionError("bug in the read-out")
+
+    monkeypatch.setattr(sweep, "transition_lines", broken)
+    spec = SweepSpec(params=laucht, axis1=_axis(count=2), axis2=_axis("zeta", count=2),
+                     observables=("n_cavity", "transition_lines"), n_max=1)
+    with pytest.raises(ZeroDivisionError, match="bug in the read-out"):
+        run_sweep(spec, parallelism=parallelism)
+    with pytest.raises(ZeroDivisionError, match="bug in the read-out"):
+        run_spectra_panel(laucht, [0.01, 0.5], [1e-3], n_max=1, parallelism=parallelism)
 
 
 def test_sweep_determinism_and_parallel_equivalence(laucht):
