@@ -17,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatchError, DiagonalizationError, UndefinedObservableError
-from .hilbert import CompositeBasis, OperatorMatrix, annihilation, frozen_array
+from .hilbert import CompositeBasis, OperatorMatrix, frozen_array
 from .liouvillian import SuperoperatorMatrix, build_liouvillian, sector_block, sector_indices, vec
 from .model import ModelParams, model_terms
 from .steadystate import DensityMatrix, number_moments, sector_steady_state
-# bound here only because perfbench/tracing.py patches it under this name
+# bound here only because perfbench/tracing.py patches them under these names
+from .hilbert import annihilation  # noqa: F401
 from .steadystate import steady_state  # noqa: F401
 
 # relative residue cutoff; modes this far below the strongest carry no weight
@@ -124,7 +125,8 @@ def _mode_weights(
     Raises DiagonalizationError when the eigenbasis fails to reproduce the
     t = 0 value, which is the practical symptom of a defective or severely
     ill-conditioned eigenvector matrix. The error is judged against the scale
-    |obs_row| @ |seed|, which does not depend on the eigenbasis under test.
+    max|obs_row| * sum|seed|, which does not depend on the eigenbasis under
+    test and is 0 only when the seed or the read-out is.
     """
     try:
         lams, vmat = np.linalg.eig(l_entries)
@@ -134,7 +136,7 @@ def _mode_weights(
     weights = (obs_row @ vmat) * coeff
     direct = complex(obs_row @ seed)
     recon = complex(weights.sum())
-    scale = float(np.abs(obs_row) @ np.abs(seed))
+    scale = float(np.abs(obs_row).max(initial=0.0) * np.abs(seed).sum())
     if not abs(recon - direct) <= 1e-8 * scale:  # NaN fails too
         raise DiagonalizationError(
             f"eigenbasis reconstruction off by {abs(recon - direct):.3e} "
@@ -143,12 +145,14 @@ def _mode_weights(
     return weights, lams
 
 
-def _delays(taus) -> np.ndarray:
-    """taus as a 1-D float array, each checked to be finite and >= 0."""
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if not ((taus >= 0.0) & (taus < np.inf)).all():  # NaN fails both
-        raise ValueError("delay times must be finite and >= 0")
-    return taus
+def _grid(values, name: str, *, nonnegative: bool) -> np.ndarray:
+    """values as a 1-D float array, each checked to be finite, and >= 0 if nonnegative."""
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    if values.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array, got shape {values.shape}")
+    if not np.isfinite(values).all() or (nonnegative and (values < 0.0).any()):
+        raise ValueError(f"{name} must be finite" + (" and >= 0" if nonnegative else ""))
+    return values
 
 
 def two_time_correlation(
@@ -174,7 +178,7 @@ def two_time_correlation(
             raise BasisMismatchError("correlation operators must share the generator's basis")
     if rho_ss.basis != basis:
         raise BasisMismatchError("density matrix basis does not match the generator")
-    taus = _delays(taus)
+    taus = _grid(taus, "delay times", nonnegative=True)
 
     seed = vec(op_right.entries @ rho_ss.entries @ op_left.entries)
     obs_row = vec(op_obs.entries.T)  # Tr[A X] = vec(A^T) . vec(X)
@@ -208,7 +212,7 @@ def pl_spectrum(
     """
     if omega_grid is None:
         omega_grid = default_omega_grid(params)
-    omega_grid = np.asarray(omega_grid, dtype=float)
+    omega_grid = _grid(omega_grid, "frequencies", nonnegative=False)
     basis = CompositeBasis(n_max)
     rho = sector_steady_state(params, basis)
     ket, bra, _ = sector_indices(n_max, 1)
@@ -293,17 +297,18 @@ def g2(params: ModelParams, taus, *, n_max: int = 3) -> list[tuple[float, float]
     UndefinedObservableError when the steady photon number is negligible or
     g2 is not finite at some delay.
     """
-    taus = _delays(taus)
+    taus = _grid(taus, "delay times", nonnegative=True)
     basis = CompositeBasis(n_max)
     rho = sector_steady_state(params, basis)
-    a = annihilation(basis)
     n_avg = _photon_number(number_moments(rho)[0])
-    lio = build_liouvillian(params, basis)
+    energies, _, channels = model_terms(n_max)
+    seed = vec(channels["kappa"] @ rho.entries @ channels["cavity_pump"])  # a rho a^dag
+    obs_row = vec(energies["omega0"].T)  # Tr[a^dag a X] = vec((a^dag a)^T) . vec(X)
     # a mode sum that overflows is refused below, by delay, rather than warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        corr = two_time_correlation(lio, rho, a.dag(), a, a.dag() @ a, taus)
-        normalized = corr.values.real / n_avg**2
+        weights, lams = _mode_weights(build_liouvillian(params, basis).entries, seed, obs_row)
+        normalized = exp_decay_sum(taus, weights, lams).real / n_avg**2
     bad = ~np.isfinite(normalized)
     if bad.any():
         raise UndefinedObservableError(f"g2 is not finite at delay {float(taus[bad][0])}")
-    return [(float(t), float(v)) for t, v in zip(corr.taus, normalized)]
+    return [(float(t), float(v)) for t, v in zip(taus, normalized)]

@@ -98,6 +98,9 @@ CASES = {
                             "--out", "{d}/spectrum.csv"], None),
     "spectrum_dark_json": (["spectrum", *_SMALL, *_DARK, "--omega-points", "11",
                             "--format", "json"], None),
+    # at n_max 1, a a = 0: g2 is 0 at tau = 0 and must not be refused for it
+    "g2_cutoff_1": (["g2", "--preset", "laucht-strong", "--n-max", "1", "--tau-points", "5",
+                     "--out", "{d}/g2.csv"], None),
     "g2_tau_max_inf": (["g2", *_SMALL, "--tau-points", "5", "--tau-max-inv-kappa", "inf",
                         "--out", "{d}/g2.csv"], None),
     # at tau ~ 1e297 the mode sum overflows: a numerical failure, exit code 2

@@ -19,6 +19,7 @@ from dqdcavity import (
     g2,
     g2_zero,
     pl_spectrum,
+    preset,
     steady_state,
     two_time_correlation,
 )
@@ -88,6 +89,35 @@ def test_correlation_raises_when_eigenbasis_fails(laucht, band, shift, seeded_by
                                  np.linspace(0.0, 10.0, 3))
 
 
+@pytest.mark.parametrize("name", ["laucht-strong", "fig3-right"])
+def test_g2_at_cutoff_one_matches_expm_oracle(name):
+    # at n_max 1, a a = 0: the seed a rho a^dag and the read-out a^dag a share
+    # no entries, so the correlation is 0 at tau = 0 and must not be refused
+    p = preset(name)
+    taus = np.array([0.0, 1.0 / p.kappa, 10.0 / p.kappa])
+    gen = _oracle_generator(p, CompositeBasis(1))
+    rho = oracles.null_vector_state(gen)
+    a, _, _ = oracles.index_built_operators(1)
+    n = oracles.expectation(rho, a.conj().T @ a).real
+    want = oracles.expm_correlation(gen, rho, a.conj().T, a, a.conj().T @ a, taus).real / n**2
+    got = np.array([v for _, v in g2(p, taus, n_max=1)])
+    assert np.abs(got - want).max() < 1e-9
+
+
+def test_dot_intensity_correlation_that_starts_at_zero(laucht):
+    # <s1^dag s1^dag(tau) s1(tau) s1> is 0 at tau = 0, since s1 s1 = 0
+    basis = CompositeBasis(2)
+    lop = build_liouvillian(laucht, basis)
+    _, s1, _ = oracles.index_built_operators(2)
+    taus = np.array([0.0, 1.0, 10.0])
+    ops = [OperatorMatrix(basis, m) for m in (s1.conj().T, s1, s1.conj().T @ s1)]
+    got = two_time_correlation(lop, steady_state(lop), *ops, taus).values
+    gen = _oracle_generator(laucht, basis)
+    want = oracles.expm_correlation(gen, oracles.null_vector_state(gen),
+                                    *(op.entries for op in ops), taus)
+    assert np.abs(got - want).max() < 1e-9 * np.abs(want).max()
+
+
 def test_empty_cavity_coherence_decay_closed_form(laucht):
     # gain/loss-only mode: G(tau) = n exp[(-i w0 - (kappa-P)/2) tau]
     dec = _decoupled_cavity(laucht)
@@ -142,6 +172,26 @@ def test_non_finite_delays_are_refused(laucht, bad, monkeypatch):
     monkeypatch.setattr(dynamics, "build_liouvillian", build)
     with pytest.raises(ValueError, match="finite"):
         g2(laucht, [1.0, bad], n_max=7)
+
+
+def test_delays_must_be_one_dimensional(laucht):
+    basis = CompositeBasis(2)
+    lop = build_liouvillian(laucht, basis)
+    a = annihilation(basis)
+    with pytest.raises(ValueError, match="delay times must be a 1-D array"):
+        two_time_correlation(lop, steady_state(lop), a.dag(), a, a.dag() @ a, [[0.0, 1.0]])
+    with pytest.raises(ValueError, match="delay times must be a 1-D array"):
+        g2(laucht, [[0.0, 1.0]], n_max=2)
+
+
+@pytest.mark.parametrize("grid, match",
+                         [([np.nan, 1218.0], "frequencies must be finite"),
+                          ([np.inf], "frequencies must be finite"),
+                          ([[1217.9, 1218.0]], "frequencies must be a 1-D array")],
+                         ids=["nan", "inf", "two_dim"])
+def test_spectrum_grid_is_checked(laucht, grid, match):
+    with pytest.raises(ValueError, match=match):
+        pl_spectrum(laucht, grid, n_max=2)
 
 
 def test_g2_takes_its_state_from_the_sector_solve(laucht, monkeypatch):

@@ -12,6 +12,7 @@ from dqdcavity import (
     annihilation,
     build_liouvillian,
     evaluate_point,
+    g2,
     hamiltonian,
     jump_operators,
     phat_rates,
@@ -247,6 +248,7 @@ def test_warm_caches_build_no_operators(monkeypatch):
     basis = CompositeBasis(2)
     sector_steady_state(_ALL_CHANNELS, basis)
     pl_spectrum(_ALL_CHANNELS, n_max=2)
+    g2(_ALL_CHANNELS, [0.0, 1.0], n_max=2)
     evaluate_point(spec, 0.1, 0.01)
 
     def refuse(*args, **kwargs):
@@ -260,4 +262,5 @@ def test_warm_caches_build_no_operators(monkeypatch):
     point = _ALL_CHANNELS.replace(tunneling_T=0.45, zeta=0.07)
     sector_steady_state(point, basis)
     pl_spectrum(point, n_max=2)
+    g2(point, [0.0, 1.0], n_max=2)
     assert evaluate_point(spec, 0.45, 0.07)["status"] == "ok"
