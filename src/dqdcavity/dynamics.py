@@ -31,6 +31,9 @@ _AMPLITUDE_CUTOFF = 1e-14
 _PEAK_REL_PROMINENCE = 0.05
 # default spectrum window: this far either side of the cavity energy (meV)
 _OMEGA_HALF_SPAN = 3.0
+# grid points per block of a mode sum: the (modes x block) temporaries stay in
+# cache and are reused, where a whole grid's are fresh pages on every call
+_KERNEL_BLOCK = 256
 
 
 def lorentzian_sum(omegas: np.ndarray, amplitudes: np.ndarray, poles: np.ndarray) -> np.ndarray:
@@ -39,28 +42,41 @@ def lorentzian_sum(omegas: np.ndarray, amplitudes: np.ndarray, poles: np.ndarray
     Parameters
     ----------
     omegas : real array, shape (n_w,)
+        Finite frequencies; anything else raises ValueError.
     amplitudes : complex array, shape (n_k,)
         Residues c_k.
     poles : complex array, shape (n_k,)
         Generator eigenvalues lambda_k (Re <= 0 for a relaxing system).
     """
-    omegas = np.asarray(omegas, dtype=float)
+    omegas = _grid(omegas, "frequencies", nonnegative=False)
     amplitudes = np.asarray(amplitudes, dtype=complex)
     poles = np.asarray(poles, dtype=complex)
     if amplitudes.shape != poles.shape:
         raise ValueError("amplitudes and poles must have identical shapes")
-    denom = -poles[:, None] - 1j * omegas[None, :]
-    return np.sum((amplitudes[:, None] / denom).real, axis=0)
+    return _mode_sum(
+        omegas, lambda w: (amplitudes[:, None] / (-poles[:, None] - 1j * w[None, :])).real
+    )
 
 
 def exp_decay_sum(taus: np.ndarray, weights: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Complex mode sum sum_k w_k exp(lambda_k tau) on a delay grid."""
-    taus = np.asarray(taus, dtype=float)
+    """Complex mode sum sum_k w_k exp(lambda_k tau) on a 1-D grid of finite delays."""
+    taus = _grid(taus, "delay times", nonnegative=False)
     weights = np.asarray(weights, dtype=complex)
     rates = np.asarray(rates, dtype=complex)
     if weights.shape != rates.shape:
         raise ValueError("weights and rates must have identical shapes")
-    return np.sum(weights[:, None] * np.exp(rates[:, None] * taus[None, :]), axis=0)
+    return _mode_sum(taus, lambda t: weights[:, None] * np.exp(rates[:, None] * t[None, :]))
+
+
+def _mode_sum(grid: np.ndarray, terms) -> np.ndarray:
+    """np.sum(terms(grid), axis=0), evaluated at most _KERNEL_BLOCK grid points at a time.
+
+    The blocks are near-equal, so no block of a grid of two or more points has
+    a single point: numpy sums one column pairwise instead of mode by mode,
+    which would move the last bits of that point.
+    """
+    blocks = np.array_split(grid, max(1, -(-grid.size // _KERNEL_BLOCK)))
+    return np.concatenate([np.sum(terms(block), axis=0) for block in blocks])
 
 
 @dataclass(frozen=True)
@@ -286,7 +302,12 @@ def g2_zero(params: ModelParams, *, n_max: int = 3) -> float:
 
 def g2_zero_from_state(rho: DensityMatrix) -> float:
     """Equal-time g2 evaluated on an already-computed steady state."""
-    n_avg, _, _, pairs = number_moments(rho)
+    return g2_zero_from_moments(number_moments(rho))
+
+
+def g2_zero_from_moments(moments: np.ndarray) -> float:
+    """Equal-time g2 from a state's steadystate.number_moments."""
+    n_avg, _, _, pairs = moments
     return float(pairs) / _photon_number(n_avg) ** 2
 
 

@@ -4,17 +4,18 @@ The stationary state keeps the excitation number N = photons + excitons on
 both sides (k = N_ket - N_bra = 0), so it is solved on the k = 0 block alone:
 m = 52 unknowns instead of d^2 = 256 at n_max 3. steady_state slices that
 block out of a dense generator; sector_steady_state builds it straight from
-K, and sector_steady_states builds and solves many points, _STACK at a time.
-This module alone sets that stack bound. Every route hands its complex blocks
-to one stacked solver. A generator that keeps Hermiticity makes each
-trace-row system real in the coordinates (rho_II, Re rho_IJ, Im rho_IJ); the
-solver inverts that real system with numpy and takes the exact 1-norm
-condition number from the inverse. The solved stack is read out in one pass:
-its solutions are scattered into density matrices, Hermitian by
-construction, and each point gets its state or its own error (rcond floor,
-or a residual on the complex block that is not within bound, NaN included)
-as a value. steady_state, which may be handed any generator, also checks
-the residual on all of it.
+the term table, and sector_steady_states builds and solves many points,
+_STACK at a time. This module alone sets that stack bound. Every route
+hands its complex blocks to one stacked solver. A generator that keeps
+Hermiticity makes each trace-row system real in the coordinates (rho_II,
+Re rho_IJ, Im rho_IJ); the solver inverts that real system with numpy and
+takes the exact 1-norm condition number from the inverse. The solved stack
+is read out in one pass: its solutions are divided by their traces, and
+||B||_inf and the residual B x of every block are taken at once. Only then
+does each point get, as a value, its own error (rcond floor, or a residual
+on the complex block that is not within bound, NaN included) or its
+density matrix, Hermitian by construction. steady_state, which may be
+handed any generator, also checks the residual on all of it.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ def steady_state(liouvillian: SuperoperatorMatrix) -> DensityMatrix:
     ket, bra, pos = sector_indices(basis.n_max, 0)
     entries = liouvillian.entries
     rho = _raised(_block_states(basis, entries[np.ix_(pos, pos)][None])[0])
-    error = _residual_error(entries[:, pos] @ rho.entries[ket, bra], liouvillian.norm_inf(), "L")
+    residual = np.abs(entries[:, pos] @ rho.entries[ket, bra]).max()
+    error = _residual_error(residual, liouvillian.norm_inf(), "L")
     return _raised(error or rho)
 
 
@@ -118,18 +120,22 @@ def _block_states(basis: CompositeBasis, blocks: np.ndarray) -> list:
             return [state for block in blocks for state in _block_states(basis, block[None])]
         return [DegenerateSteadyStateError(
             "trace-row system is singular: the stationary state is not unique")]
+    # x lists the populations rho_II first, so their sum is the trace; a point
+    # that fails the rcond floor may divide by 0 here, and is refused below
+    with np.errstate(all="ignore"):
+        xs /= xs[:, :basis.dim].sum(axis=1).real[:, None]
+        norms = np.abs(blocks).sum(axis=2).max(axis=1)
+        residuals = np.abs(blocks @ xs[..., None]).max(axis=(1, 2))
     rhos = np.zeros((len(blocks), basis.dim, basis.dim), dtype=complex)
     rhos[:, ket, bra] = xs
     states = []
-    for block, rho, rcond in zip(blocks, rhos, rconds):
+    for rho, rcond, norm, residual in zip(rhos, rconds, norms, residuals):
         if not rcond >= _RCOND_FLOOR:  # NaN fails too
             states.append(DegenerateSteadyStateError(
                 f"trace-row system is numerically singular (rcond = {rcond:.2e}): "
                 "the stationary state is not unique"))
         else:
-            rho = rho / np.trace(rho).real
-            norm = float(np.abs(block).sum(axis=1).max())
-            states.append(_residual_error(block @ rho[ket, bra], norm, "B") or DensityMatrix(basis, rho))
+            states.append(_residual_error(residual, norm, "B") or DensityMatrix(basis, rho))
     return states
 
 
@@ -162,8 +168,8 @@ def _solve_trace_rows(blocks: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarra
     return xs, 1.0 / norms
 
 
-def _residual_error(residual: np.ndarray, norm: float, name: str) -> SteadyStateConvergenceError | None:
-    worst = float(np.abs(residual).max())
+def _residual_error(worst: float, norm: float, name: str) -> SteadyStateConvergenceError | None:
+    """The error for a residual whose largest magnitude is worst, if it misses _RTOL * norm."""
     if not worst <= _RTOL * norm:  # NaN fails too
         return SteadyStateConvergenceError(
             f"steady-state residual {worst:.3e} exceeds {_RTOL:.1e} * ||{name}||_inf = {_RTOL * norm:.3e}"
@@ -187,12 +193,12 @@ def number_moments(rho: DensityMatrix) -> np.ndarray:
     return _number_rows(rho.basis.n_max) @ rho.entries.diagonal().real
 
 
-def occupations(rho: DensityMatrix) -> dict[str, float]:
-    """Photon number and the two exciton populations in rho."""
-    n_cavity, n_qd1, n_qd2, _ = number_moments(rho)
+def occupations(moments: np.ndarray) -> dict[str, float]:
+    """Photon number and the two exciton populations from a state's number_moments."""
+    n_cavity, n_qd1, n_qd2, _ = moments
     return {"n_cavity": float(n_cavity), "n_qd1": float(n_qd1), "n_qd2": float(n_qd2)}
 
 
 def steady_observables(params: ModelParams, n_max: int = 3) -> dict[str, float]:
     """Stationary occupations: photons and the two exciton populations."""
-    return occupations(sector_steady_state(params, CompositeBasis(n_max)))
+    return occupations(number_moments(sector_steady_state(params, CompositeBasis(n_max))))

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .dynamics import SpectrumResult, g2_zero_from_state, pl_spectrum
+from .dynamics import SpectrumResult, g2_zero_from_moments, pl_spectrum
 from .errors import NumericalError
 from .hilbert import CompositeBasis, frozen_array
 from .liouvillian import term_coefficients
 from .manifold import TransitionLine, transition_lines
 from .model import ModelParams
-from .steadystate import occupations, sector_steady_states
+from .steadystate import number_moments, occupations, sector_steady_states
 # bound here only because perfbench/tracing.py patches them under these names
 from .hilbert import annihilation, qubit_lowering  # noqa: F401
 from .liouvillian import build_liouvillian  # noqa: F401
@@ -226,9 +226,12 @@ def _evaluate(spec: SweepSpec, tasks: list) -> list[dict]:
         return point, term_coefficients(point, spec.n_max)
 
     def read_out(point, rho):
-        values = {k: v for k, v in occupations(rho).items() if k in columns} if wants_state else {}
-        if "g2_zero" in spec.observables:
-            values["g2_zero"] = g2_zero_from_state(rho)
+        values = {}
+        if wants_state:
+            moments = number_moments(rho)
+            values = {k: v for k, v in occupations(moments).items() if k in columns}
+            if "g2_zero" in spec.observables:
+                values["g2_zero"] = g2_zero_from_moments(moments)
         if "transition_lines" in spec.observables:
             for k, line in enumerate(transition_lines(point), start=1):
                 values[f"line{k}_frequency_mev"] = line.frequency

@@ -71,6 +71,13 @@ CASES = {
                             "--axis1", "kappa:0.1:1:3", "--axis2", "pump2:1e-30:1e-2:2",
                             "--observables", "n_cavity,n_qd2,g2_zero",
                             "--out", "{d}/sweep.csv"], None),
+    # the same cut-off dot on 72 points at parallelism 2: each chunk of 36 solves a full
+    # stack and a short one, and its failed points sit on both sides of the stack seam
+    "sweep_stacked_solve_errors": (["sweep", *_SMALL, "--gamma2-mev", "0", "--g2-mev", "0",
+                                    "--tunneling-mev", "0", "--zeta-mev", "0",
+                                    "--axis1", "kappa:0.1:1:9", "--axis2", "pump2:1e-30:1e-2:8",
+                                    "--observables", "n_cavity,n_qd2,g2_zero",
+                                    "--parallelism", "2", "--out", "{d}/sweep.csv"], None),
     # no gain: the occupations read out before g2 fails on the empty cavity, and
     # each row must still hold no values next to its error
     "sweep_observable_errors": (["sweep", *_SMALL, *_DARK, "--axis1", "tunneling_T:0.01:1:2",

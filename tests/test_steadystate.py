@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -195,18 +197,21 @@ def test_generator_that_breaks_n_is_refused(laucht, extra):
         steady_state(SuperoperatorMatrix(basis, lop.entries + extra(basis)))
 
 
-def test_generator_that_breaks_hermiticity_is_refused(laucht):
+def _anti_hermitian_drift(basis):
     # -i[h, .] with h = 0.1i sigma1^dag sigma1 keeps N, so it stays on the k = 0
     # block, but takes Hermitian rho to anti-Hermitian; the real solve drops
     # that part, and only the residual on the complex block sees it
-    basis = CompositeBasis(2)
     s1 = qubit_lowering(basis, 1).entries
     h = 0.1j * (s1.conj().T @ s1)
     eye = np.eye(basis.dim)
-    drift = np.kron(eye, -1j * h) + np.kron(1j * h.T, eye)
+    return np.kron(eye, -1j * h) + np.kron(1j * h.T, eye)
+
+
+def test_generator_that_breaks_hermiticity_is_refused(laucht):
+    basis = CompositeBasis(2)
     lop = build_liouvillian(laucht, basis)
     with pytest.raises(SteadyStateConvergenceError, match=r"\|\|B\|\|_inf"):
-        steady_state(SuperoperatorMatrix(basis, lop.entries + drift))
+        steady_state(SuperoperatorMatrix(basis, lop.entries + _anti_hermitian_drift(basis)))
 
 
 def _real_transform(n_max):
@@ -312,6 +317,61 @@ def test_block_residual_failure_stays_with_its_point(laucht, monkeypatch):
             sector_steady_state(p, basis)
         assert str(raised.value) == str(error)
     assert len({str(error) for error in errors}) == len(points)
+
+
+def test_stacked_read_out_matches_the_single_point_route(laucht, monkeypatch):
+    # 2 * _STACK + 6 rows (70) solve as stacks of _STACK, _STACK and 6. Rows
+    # _STACK - 1 and _STACK, a cut-off dot on either side of the first seam,
+    # fail the rcond floor; row 2 * _STACK, the first of the last stack, gets
+    # the anti-Hermitian drift and fails the residual on B. Each row holds what
+    # the single-point route returns or raises, and nothing warns
+    rng = np.random.default_rng(25)
+    basis = CompositeBasis(3)
+    points = [laucht.replace(tunneling_T=t, zeta=z)
+              for t, z in 10.0 ** rng.uniform(-3, 1, (2 * _STACK + 6, 2))]
+    cut = laucht.replace(gamma2=0.0, g2=0.0, tunneling_T=0.0, zeta=0.0, pump2=1e-30)
+    points[_STACK - 1], points[_STACK] = cut, cut.replace(kappa=0.5)
+    pos = sector_indices(3, 0)[2]
+    drift = _anti_hermitian_drift(basis)[np.ix_(pos, pos)]
+    marked = term_coefficients(points[2 * _STACK], 3)
+
+    def drifted(coefs, n_max, k):
+        blocks = sector_blocks(coefs, n_max, k)
+        blocks[(coefs == marked).all(axis=1)] += drift
+        return blocks
+
+    monkeypatch.setattr(steadystate, "sector_blocks", drifted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states = list(sector_steady_states(_coefficient_rows(points, 3), basis))
+    assert len(states) == len(points)
+    refused = {_STACK - 1: DegenerateSteadyStateError, _STACK: DegenerateSteadyStateError,
+               2 * _STACK: SteadyStateConvergenceError}
+    for k, (state, p) in enumerate(zip(states, points)):
+        if k in refused:
+            assert type(state) is refused[k]
+            with pytest.raises(refused[k]) as solo:
+                sector_steady_state(p, basis)
+            assert str(state) == str(solo.value)
+        else:
+            assert np.array_equal(state.entries, sector_steady_state(p, basis).entries)
+
+
+@pytest.mark.parametrize("change", [{"kappa": 1e308}, {"tunneling_T": 1.7e308}], ids=["kappa", "T"])
+def test_read_out_of_a_refused_point_warns_no_more_than_its_solve(laucht, change):
+    # a rate near DBL_MAX overflows the solve, which warns and fails the rcond
+    # floor; normalizing and checking the stack must add no warning of its own
+    basis = CompositeBasis(2)
+    blocks = sector_blocks(_coefficient_rows([laucht, laucht.replace(**change)], 2), 2, 0)
+    with warnings.catch_warnings(record=True) as solve:
+        warnings.simplefilter("always")
+        _solve_trace_rows(blocks, basis.dim)
+    with warnings.catch_warnings(record=True) as read:
+        warnings.simplefilter("always")
+        good, bad = _block_states(basis, blocks)
+    assert isinstance(good, steadystate.DensityMatrix)
+    assert isinstance(bad, DegenerateSteadyStateError)
+    assert [str(w.message) for w in read] == [str(w.message) for w in solve]
 
 
 def test_exact_rcond_is_within_the_lapack_estimate(laucht):
