@@ -254,12 +254,22 @@ def pl_spectrum(
 def find_spectrum_peaks(spectrum: SpectrumResult) -> list[SpectrumPeak]:
     """Peaks of the intensity curve with prominence >= 0.05 * max.
 
-    Requires a uniform frequency grid. The half width is half the peak's width
-    measured at half prominence, which for an isolated line on a flat
-    background is the usual Lorentzian HWHM.
-    """
-    import scipy.signal  # its import costs more than the rest of the package
+    Requires a uniform frequency grid. Peaks, prominences and widths follow
+    three rules:
 
+    - A local maximum is an interior run of equal samples that rises before
+      and falls after; its peak index is (left + right) // 2. The first and
+      last samples are never peaks.
+    - Its bases are the lowest samples met walking out from the peak on each
+      side, until the first sample strictly higher than the peak or the
+      grid's end; on ties, the one nearest the peak. The prominence is the
+      height minus the higher base.
+    - The width is taken at height - prominence / 2, walking out from the
+      peak no further than each base while the curve stays above it, and
+      interpolating linearly at the crossing. The half width is half of it,
+      which for an isolated line on a flat background is the usual
+      Lorentzian HWHM.
+    """
     freqs = spectrum.frequencies
     y = spectrum.intensities
     if freqs.size < 3:
@@ -271,8 +281,6 @@ def find_spectrum_peaks(spectrum: SpectrumResult) -> list[SpectrumPeak]:
     top = float(y.max(initial=0.0))
     if top <= 0.0:
         return []
-    idx, props = scipy.signal.find_peaks(y, prominence=_PEAK_REL_PROMINENCE * top)
-    widths, _, _, _ = scipy.signal.peak_widths(y, idx, rel_height=0.5)
     return [
         SpectrumPeak(
             frequency=float(freqs[i]),
@@ -281,8 +289,55 @@ def find_spectrum_peaks(spectrum: SpectrumResult) -> list[SpectrumPeak]:
             hwhm=float(0.5 * w * dw),
             prominence=float(p),
         )
-        for i, w, p in zip(idx, widths, props["prominences"])
+        for i, p, w in zip(*_peaks(y, _PEAK_REL_PROMINENCE * top))
     ]
+
+
+def _peaks(y: np.ndarray, min_prominence: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices, prominences and widths (in samples) of y's peaks with prominence >= min_prominence."""
+    found = []
+    # inf and NaN samples pass through the arithmetic below without a warning
+    with np.errstate(all="ignore"):
+        for peak in _local_maxima(y):
+            height = y[peak]
+            higher = np.flatnonzero(~(y <= height))  # a NaN ends the walk too
+            at = np.searchsorted(higher, peak)
+            lo = higher[at - 1] + 1 if at else 0
+            hi = higher[at] if at < higher.size else y.size
+            left = peak - np.argmin(y[lo:peak + 1][::-1])
+            right = peak + np.argmin(y[peak:hi])
+            prominence = height - max(y[left], y[right])
+            if prominence >= min_prominence:
+                width = _width(y, peak, left, right, height - prominence * 0.5)
+                found.append((peak, prominence, width))
+    idx, prominences, widths = zip(*found) if found else ((), (), ())
+    return np.array(idx, dtype=np.intp), np.array(prominences, float), np.array(widths, float)
+
+
+def _local_maxima(y: np.ndarray) -> np.ndarray:
+    """Midpoints of the interior runs of equal samples that rise before and fall after."""
+    ends = np.flatnonzero(y[1:] != y[:-1])  # k where a run ends: y[k + 1] differs from y[k]
+    lefts = np.flatnonzero(y[:-2] < y[1:-1]) + 1
+    at = np.searchsorted(ends, lefts)
+    ended = at < ends.size  # a run that reaches the last sample is no peak
+    lefts, rights = lefts[ended], ends[at[ended]]
+    falls = y[rights + 1] < y[rights]
+    return (lefts[falls] + rights[falls]) // 2
+
+
+def _width(y: np.ndarray, peak: int, left: int, right: int, height: float) -> float:
+    """Width of the peak where y crosses height, searched no further than its bases."""
+    stop = np.flatnonzero(~(y[left + 1:peak + 1] > height))
+    i = left + 1 + stop[-1] if stop.size else left
+    left_ip = float(i)
+    if y[i] < height:
+        left_ip += (height - y[i]) / (y[i + 1] - y[i])
+    stop = np.flatnonzero(~(y[peak:right] > height))
+    i = peak + stop[0] if stop.size else right
+    right_ip = float(i)
+    if y[i] < height:
+        right_ip -= (height - y[i]) / (y[i - 1] - y[i])
+    return right_ip - left_ip
 
 
 def _photon_number(n_avg: float) -> float:

@@ -149,8 +149,11 @@ def thermal_occupation(delta: float, temperature: float) -> float:
     if temperature <= 0.0:
         raise ValueError(f"temperature must be > 0, got {temperature!r}")
     x = delta / (BOLTZMANN_MEV_PER_K * temperature)
-    # expm1 overflows past log(DBL_MAX); there 1/expm1(x) is exp(-x) to double precision
-    return 1.0 / np.expm1(x) if x <= _LOG_DBL_MAX else math.exp(-x)
+    # expm1 overflows past log(DBL_MAX), where 1/expm1(x) is exp(-x) to double
+    # precision; x underflows to 0 only where n_th overflows
+    if x > _LOG_DBL_MAX:
+        return math.exp(-x)
+    return float(1.0 / np.expm1(x)) if x != 0.0 else math.inf
 
 
 @dataclass(frozen=True)

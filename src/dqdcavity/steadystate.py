@@ -152,16 +152,18 @@ def _solve_trace_rows(blocks: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarra
     """
     h = (blocks.shape[-1] + d) // 2
     top = blocks[:, :h]
-    sums, diffs = top[..., d:h] + top[..., h:], top[..., d:h] - top[..., h:]
-    systems = np.empty(blocks.shape)
-    systems[:, :h, :d], systems[:, h:, :d] = top[..., :d].real, top[:, d:, :d].imag
-    systems[:, :h, d:h], systems[:, h:, d:h] = sums.real, sums[:, d:].imag
-    systems[:, :h, h:], systems[:, h:, h:] = -diffs.imag, diffs[:, d:].real
-    # T leaves row 0, rho_00's, as it is, so the trace row is set after it
-    systems[:, 0] = 0.0
-    systems[:, 0, :d] = 1.0
-    inverses = np.linalg.inv(systems)
-    norms = np.abs(systems).sum(axis=1).max(axis=1) * np.abs(inverses).sum(axis=1).max(axis=1)
+    # a rate near DBL_MAX overflows here; its rcond, NaN or 0, refuses the point quietly
+    with np.errstate(all="ignore"):
+        sums, diffs = top[..., d:h] + top[..., h:], top[..., d:h] - top[..., h:]
+        systems = np.empty(blocks.shape)
+        systems[:, :h, :d], systems[:, h:, :d] = top[..., :d].real, top[:, d:, :d].imag
+        systems[:, :h, d:h], systems[:, h:, d:h] = sums.real, sums[:, d:].imag
+        systems[:, :h, h:], systems[:, h:, h:] = -diffs.imag, diffs[:, d:].real
+        # T leaves row 0, rho_00's, as it is, so the trace row is set after it
+        systems[:, 0] = 0.0
+        systems[:, 0, :d] = 1.0
+        inverses = np.linalg.inv(systems)
+        norms = np.abs(systems).sum(axis=1).max(axis=1) * np.abs(inverses).sum(axis=1).max(axis=1)
     xs = inverses[:, :, 0].astype(complex)
     xs[:, d:h].imag = xs[:, h:].real
     xs[:, h:] = xs[:, d:h].conj()

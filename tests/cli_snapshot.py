@@ -112,6 +112,9 @@ CASES = {
                         "--out", "{d}/g2.csv"], None),
     # at tau ~ 1e297 the mode sum overflows: a numerical failure, exit code 2
     "g2_not_finite": (["g2", *_SMALL, "--kappa-mev", "1e-300", "--tau-points", "3"], None),
+    # kappa near DBL_MAX overflows the steady-state system: refused, exit code 2, and
+    # stderr holds the error alone
+    "steady_rate_near_dbl_max": (["steady", *_SMALL, "--kappa-mev", "1e308"], None),
     "config_model_error": (["steady", "--config", "{d}/run.json"], {"kappa_mev": -1}),
     "sweep_axis_inf": (["sweep", "--n-max", "1", "--axis1", "tunneling_T:0.001:inf:3",
                         "--axis2", "zeta:0.001:10:2", "--format", "csv"], None),

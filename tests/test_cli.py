@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,35 @@ def test_g2_that_is_not_finite_exits_two(capsys):
     assert out == ""
     assert "numerical failure: g2 is not finite at delay 1e+297" in err
     assert '"kappa": 1e-300' in err
+
+
+@pytest.mark.parametrize("flag, field, value", [
+    ("--kappa-mev", "kappa", 1e308), ("--pump1-mev", "pump1", 1e308),
+    ("--tunneling-mev", "tunneling_T", 1.7e308), ("--zeta-mev", "zeta", 1e308),
+])
+@pytest.mark.parametrize("command", ["steady", "spectrum"])
+def test_rate_near_dbl_max_exits_two_with_the_error_alone(capsys, command, flag, field, value):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, [command, "--n-max", "2", flag, repr(value)])
+    assert [str(w.message) for w in caught] == []
+    assert (code, out) == (2, "")
+    failure, point = err.splitlines()
+    assert failure.startswith("numerical failure: trace-row system is numerically singular (rcond = ")
+    assert json.loads(point.removeprefix("at parameter point: "))[field] == value
+
+
+def test_sweep_over_rates_near_dbl_max_writes_error_rows_alone(capsys):
+    argv = ["sweep", "--n-max", "2", "--axis1", "kappa:1e300:1e308:2", "--axis2", "zeta:0.01:1:2",
+            "--observables", "n_cavity", "--format", "csv"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, argv)
+    assert [str(w.message) for w in caught] == []
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 4
+    assert {row["status"] for row in rows} == {"error:DegenerateSteadyStateError"}
 
 
 def test_numerical_errors_share_one_base():
@@ -480,10 +510,12 @@ with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringI
                  ["figures", *small, "--which", "2", "--zeta-points", "2", "--out", out],
                  ["g2", *small]):
         assert dqdcavity.cli.main(argv) == 0, argv
+laucht = dqdcavity.preset("laucht-strong")
+assert dqdcavity.find_spectrum_peaks(dqdcavity.pl_spectrum(laucht, n_max=2))
 # an unusable eigenbasis is refused, not propagated by another route
 basis = dqdcavity.CompositeBasis(1)
 a = dqdcavity.annihilation(basis)
-rho = dqdcavity.steady_state(dqdcavity.build_liouvillian(dqdcavity.preset("laucht-strong"), basis))
+rho = dqdcavity.steady_state(dqdcavity.build_liouvillian(laucht, basis))
 jordan = dqdcavity.SuperoperatorMatrix(basis, np.eye(basis.dim**2, k=-1))
 try:
     dqdcavity.two_time_correlation(jordan, rho, a.dag(), a, a.dag() @ a, [0.0, 1.0])
@@ -496,7 +528,7 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 
 def test_no_workload_imports_scipy():
-    # find_spectrum_peaks is the only scipy user
+    # every CLI command and the library's peak detector run on numpy alone
     src = str(Path(dqdcavity.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -2,12 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from dqdcavity import (
     BasisMismatchError,
     CompositeBasis,
     DiagonalizationError,
     OperatorMatrix,
+    SpectrumPeak,
     SpectrumResult,
     SuperoperatorMatrix,
     UndefinedObservableError,
@@ -328,6 +330,71 @@ def test_peak_detector_needs_uniform_grid():
         find_spectrum_peaks(spec)
 
 
+def _peak_curves(laucht, fig3):
+    """Curves for the scipy comparison: spectra, rounded line sums, and hand-made edge cases."""
+    points = [laucht.replace(tunneling_T=t, zeta=0.0) for t in (0.01, 0.55, 5.0)]  # criterion 06
+    points.append(laucht.replace(tunneling_T=5.0, zeta=1e-3))  # criterion 07
+    rng = np.random.default_rng(26)
+    for base in (laucht, fig3):
+        for t, z, temp in zip(10.0 ** rng.uniform(-3, 0, 20), 10.0 ** rng.uniform(-3, 0, 20),
+                              rng.uniform(1.0, 40.0, 20)):
+            points.append(base.replace(tunneling_T=t, zeta=z, temperature=temp))
+    curves = [pl_spectrum(p, default_omega_grid(p), n_max=3).intensities for p in points]
+    grid = np.linspace(-2.0, 2.0, 4001)
+    for k in range(9):  # rounding to 3 or 6 digits makes plateaus
+        lines = zip(rng.uniform(-1.8, 1.8, 4), 10.0 ** rng.uniform(-2.5, -0.5, 4),
+                    rng.uniform(0.05, 1.0, 4))
+        y = sum(oracles.lorentzian(grid, *line) for line in lines)
+        curves.append(np.round(y, (3, 6, 17)[k % 3]))
+    # on short curves the crossings lie near index 0, where the interpolation's last bits show
+    curves += list(rng.uniform(0.0, 1.0, (30, 8)))
+    return curves + [np.array(c, float) for c in (
+        [0, 1, 1, 1, 0],  # a plateau peaks at its midpoint
+        [0, 1, 1, 1, 1, 0, 2, 2, 0],  # even plateaus: the midpoint rounds down
+        [0, 1, 1, 0.5, 1, 1, 0],  # two plateaus of one height
+        [3, 1, 2, 1, 3],  # edge maxima are never peaks
+        [0, 2, 2, 2, 2],  # a plateau that reaches the last sample
+        [2, 2, 1, 2, 2, 0, 1],
+        np.ones(9),  # flat
+        np.zeros(9),
+        [0, 1, 0, 20, 0],  # a prominence of exactly 0.05 * max is kept
+        [0, 1, 0, np.nan, 0, 2, 0],  # a NaN ends a base walk
+        [0, 1, 0, np.inf, 0, 2, 0],  # inf - inf / 2 is a NaN crossing height
+        [-np.inf, 1, -np.inf, 0.5, 0],
+        [0, -0.0, 0.0, 1, 0],
+    )]
+
+
+def test_peak_detector_matches_scipy_bit_for_bit(laucht, fig3):
+    found = 0
+    for y in _peak_curves(laucht, fig3):
+        threshold = 0.05 * float(np.nanmax(y))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "some peaks have a width of 0")  # the inf peak's
+            idx, props = scipy.signal.find_peaks(y, prominence=threshold)
+            widths = scipy.signal.peak_widths(y, idx, rel_height=0.5)[0]
+        for got, want in zip(dynamics._peaks(y, threshold), (idx, props["prominences"], widths)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want, equal_nan=True), (y, got, want)
+        found += idx.size
+    assert found > 100
+
+
+def test_peak_detector_reads_out_its_peaks_as_before(laucht):
+    # the records are built as they were from scipy's arrays: half the width
+    # times the grid step, and the prominence beside its own peak
+    point = laucht.replace(tunneling_T=0.55, zeta=0.0)
+    spec = pl_spectrum(point, default_omega_grid(point), n_max=3)
+    f, y, dw = spec.frequencies, spec.intensities, spec.frequencies[1] - spec.frequencies[0]
+    idx, props = scipy.signal.find_peaks(y, prominence=0.05 * y.max())
+    widths = scipy.signal.peak_widths(y, idx, rel_height=0.5)[0]
+    want = [SpectrumPeak(float(f[i]), float(f[i] - spec.omega0), float(y[i]),
+                         float(0.5 * w * dw), float(p))
+            for i, w, p in zip(idx, widths, props["prominences"])]
+    assert len(want) > 1
+    assert find_spectrum_peaks(spec) == want
+
+
 def test_thermal_photons_bunch(laucht):
     dec = _decoupled_cavity(laucht)
     _, g2_want = oracles.thermal_cavity_moments(dec.cavity_pump, dec.kappa)
@@ -370,6 +437,8 @@ def test_default_grids(laucht):
     assert len(grid) == 2001
     assert grid[0] == pytest.approx(laucht.omega0 - 3.0)
     assert grid[-1] == pytest.approx(laucht.omega0 + 3.0)
+    with pytest.raises(ValueError, match="at least 2 grid points, got 1"):
+        default_omega_grid(laucht, points=1)
 
 
 @pytest.mark.parametrize("n_max", [3, 5])

@@ -135,6 +135,14 @@ def test_record_arrays_are_frozen_copies(kind):
         assert np.array_equal(getattr(record, name), kept)
 
 
+@pytest.mark.parametrize("kind, name", [("CorrelationResult", "values"),
+                                        ("SpectrumResult", "amplitudes")])
+def test_record_arrays_that_do_not_pair_up_are_refused(kind, name):
+    build, arrays = _ARRAY_RECORDS[kind]
+    with pytest.raises(ValueError, match="identical shapes"):
+        build(**{**arrays, name: np.append(arrays[name], arrays[name][0])})
+
+
 def test_qubit_lowering_requires_valid_dot():
     with pytest.raises(ValueError):
         qubit_lowering(CompositeBasis(1), 3)

@@ -41,6 +41,25 @@ def test_thermal_occupation_is_quiet_past_expm1_overflow():
     assert np.isfinite(value) and value >= 0.0
 
 
+def test_thermal_occupation_is_a_python_float_on_every_branch():
+    # 1/expm1 below the overflow, exp(-x) past it, and inf where delta / (kB T)
+    # underflows to 0; none of them warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [thermal_occupation(0.1, 4.0), thermal_occupation(200.0, 1.0),
+                  thermal_occupation(1e-300, 1e300)]
+    assert [type(v) for v in values] == [float, float, float]
+    assert values[0] == 1.0 / np.expm1(0.1 / (BOLTZMANN_MEV_PER_K * 4.0))
+    assert values[2] == np.inf
+
+
+def test_phat_rates_overflow_to_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rates = phat_rates(preset("laucht-strong", zeta=1e308))
+    assert (rates.gamma_T, rates.p_T) == (np.inf, np.inf)
+
+
 def test_thermal_occupation_rejects_bad_input():
     with pytest.raises(ValueError):
         thermal_occupation(0.0, 4.0)

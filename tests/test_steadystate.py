@@ -374,6 +374,15 @@ def test_read_out_of_a_refused_point_warns_no_more_than_its_solve(laucht, change
     assert [str(w.message) for w in read] == [str(w.message) for w in solve]
 
 
+@pytest.mark.parametrize("change", [{"kappa": 1e308}, {"pump1": 1e308}, {"tunneling_T": 1.7e308},
+                                    {"zeta": 1e308}], ids=["kappa", "pump1", "T", "zeta"])
+def test_rate_near_dbl_max_is_refused_without_a_warning(laucht, change):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSteadyStateError, match="numerically singular"):
+            steady_observables(laucht.replace(**change), n_max=2)
+
+
 def test_exact_rcond_is_within_the_lapack_estimate(laucht):
     # the system solved is the real R' = T^-1 B' T; LAPACK's dgecon estimates
     # ||R'^-1||_1 from below, so its rcond is an upper bound on the exact one
