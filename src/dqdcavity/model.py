@@ -144,9 +144,9 @@ _PRESETS = {
 
 def thermal_occupation(delta: float, temperature: float) -> float:
     """Bose-Einstein occupation 1/(exp(delta/(kB*T)) - 1) at energy delta (meV)."""
-    if delta <= 0.0:
+    if not delta > 0.0:  # written so that NaN fails too
         raise ValueError(f"delta must be > 0 for a thermal factor, got {delta!r}")
-    if temperature <= 0.0:
+    if not temperature > 0.0:
         raise ValueError(f"temperature must be > 0, got {temperature!r}")
     x = delta / (BOLTZMANN_MEV_PER_K * temperature)
     # expm1 overflows past log(DBL_MAX), where 1/expm1(x) is exp(-x) to double

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import functools
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -152,18 +153,63 @@ def _format_column(column):
     return list(map(_format_cell, column))
 
 
-def _block_text(cells: list) -> str:
-    """CSV lines of one block of formatted columns, each ended by CRLF as csv.writer ends it."""
-    lengths = {len(c) for c in cells if isinstance(c, list)}
+def _is_float_column(column) -> bool:
+    return isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype == np.float64
+
+
+@functools.lru_cache(maxsize=1)
+def _rows_template(rows: int, slots: tuple) -> str:
+    """The %-format of a block's rows: a bytes slot is a float64 column written out as text.
+
+    Every other slot is the conversion of one column. Formatted floats hold
+    no '%', so the text needs no escaping. The key is the columns' exact
+    bytes, so the panels of one figures call, which share one frequency
+    grid, write that grid out once.
+    """
+    columns = [
+        _format_column(np.frombuffer(slot)) if isinstance(slot, bytes) else [slot] * rows
+        for slot in slots
+    ]
+    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+
+
+def _block_text(block: tuple, neighbours: tuple) -> str:
+    """CSV lines of one block, each ended by CRLF as csv.writer ends it, from one % format.
+
+    A 1-D float64 array that a neighbouring block holds at the same position
+    is text of the row template. Any other such array fills a %.17g slot
+    with its floats ("%.17g" % v is format(v, ".17g")), and any other column
+    is formatted by _format_column and fills a %s slot.
+    """
+    slots, values, lengths = [], [], set()
+    for j, column in enumerate(block):
+        if _is_float_column(column) and any(j < len(b) and b[j] is column for b in neighbours):
+            slots.append(column.tobytes())
+            lengths.add(len(column))
+            continue
+        if _is_float_column(column):
+            slot, cells = "%.17g", column.tolist()
+        else:
+            slot, cells = "%s", _format_column(column)
+            if len(block) == 1:  # csv.writer quotes a lone empty cell so that its row is not blank
+                cells = [c or '""' for c in cells] if isinstance(cells, list) else cells or '""'
+        slots.append(slot)
+        values.append(cells)
+        if isinstance(cells, list):
+            lengths.add(len(cells))
     if len(lengths) > 1:
         raise ValueError(f"columns of one block differ in length: {sorted(lengths)}")
     rows = lengths.pop() if lengths else 1
     if rows == 0:
         return ""
-    lines = map(",".join, zip(*(c if isinstance(c, list) else [c] * rows for c in cells)))
-    if len(cells) == 1:  # csv.writer quotes a lone empty cell so that its row is not blank
-        lines = (line or '""' for line in lines)
-    return "\r\n".join(lines) + "\r\n"
+    if any(isinstance(slot, bytes) for slot in slots):
+        template = _rows_template(rows, tuple(slots))
+    else:
+        template = (",".join(slots) + "\r\n") * rows
+    args = [None] * (len(values) * rows)  # row-major, filled one column at a time
+    for j, cells in enumerate(values):
+        args[j :: len(values)] = cells if isinstance(cells, list) else [cells] * rows
+    return template % tuple(args)
 
 
 def csv_table(header, blocks) -> str:
@@ -171,23 +217,16 @@ def csv_table(header, blocks) -> str:
 
     A block holds one entry per column: a list or array of the column's
     cells, or a single cell repeated on every row of the block, so a block of
-    single cells is one row. Each column is formatted once, and a
-    column object that the previous block also held is not formatted again.
+    single cells is one row. Each block is written by one % format over a row
+    template. A float64 array that a neighbouring block holds at the same
+    position is text of that template, formatted once for every block whose
+    template holds the same bytes.
     The text is what csv.writer writes for the same rows with each float cell
     formatted as format(v, ".17g") and each None as "".
     """
-    parts = []
-    prev_block, prev_cells = (), []
-    for block in itertools.chain([header], blocks):
-        block = tuple(block)
-        cells = [
-            prev_cells[j] if j < len(prev_block) and column is prev_block[j]
-            else _format_column(column)
-            for j, column in enumerate(block)
-        ]
-        parts.append(_block_text(cells))
-        prev_block, prev_cells = block, cells
-    return "".join(parts)
+    blocks = [tuple(header), *map(tuple, blocks)]
+    neighbours = zip([()] + blocks, blocks[1:] + [()])
+    return "".join(map(_block_text, blocks, neighbours))
 
 
 def _map(fn, tasks: list, parallelism: int) -> list:
@@ -347,8 +386,8 @@ def panel_spectra_csv(panel: SpectraPanel) -> str:
     """Long-format table (zeta, omega, offset, intensity) for one panel.
 
     One block per spectrum; spectra whose grids match the previous one bit
-    for bit hand csv_table the same grid arrays, so a panel on one grid
-    formats it once.
+    for bit hand csv_table the same grid arrays, so it writes the grid as
+    text of one row template, which panels on the same grid share.
     """
     blocks = []
     grid = None

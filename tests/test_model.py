@@ -65,6 +65,10 @@ def test_thermal_occupation_rejects_bad_input():
         thermal_occupation(0.0, 4.0)
     with pytest.raises(ValueError):
         thermal_occupation(0.1, 0.0)
+    with pytest.raises(ValueError, match="delta must be > 0"):
+        thermal_occupation(float("nan"), 4.0)
+    with pytest.raises(ValueError, match="temperature must be > 0"):
+        thermal_occupation(0.1, float("nan"))
 
 
 def test_presets_exposed_and_frozen():

@@ -405,6 +405,7 @@ def _writer_csv(rows) -> str:
 _AWKWARD_CELLS = (
     float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e300, 0.1, None, 7, -3,
     "a,b", 'say "hi"', "two\nlines", "cr\rhere", '",\r\n', " padded ", "plain", "",
+    "%", "100%", "%s", "%%", "%.17g",
 )
 
 
@@ -432,6 +433,17 @@ def test_csv_table_blocks_of_arrays_and_repeated_cells():
     ]
     header = ["head", "grid", "value"]
     assert csv_table(header, blocks) == _writer_csv([header, *rows])
+
+
+def test_percent_format_writes_floats_as_format_does():
+    # csv_table writes float64 columns through "%.17g" slots of one format string
+    special = [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, -5e-324,
+               1e16, 1e17, 1e-5, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1]
+    bits = np.random.default_rng(27).integers(0, 2**64, size=100_000, dtype=np.uint64)
+    values = special + bits.view(np.float64).tolist()
+    assert ("%.17g," * len(values)) % tuple(values) == "".join(
+        format(v, ".17g") + "," for v in values
+    )
 
 
 def test_csv_table_edge_shapes():
@@ -471,14 +483,7 @@ def test_panel_csv_skips_a_failed_middle_point():
     )
     ok = [k for k, status in enumerate(panel.statuses) if status == "ok"]
     assert offsets[2] == 0.0  # the -0.0 spectrum really differs from the first in its bits
-    spectra_rows = [
-        (0.55, float(panel.zetas[k]), w, off, inten)
-        for k in ok
-        for w, off, inten in zip(spectra[k].frequencies.tolist(), spectra[k].offsets.tolist(),
-                                 spectra[k].intensities.tolist())
-    ]
-    header = ["tunneling_T", "zeta", "omega_mev", "offset_mev", "intensity"]
-    assert panel_spectra_csv(panel) == _writer_csv([header, *spectra_rows])
+    assert panel_spectra_csv(panel) == _panel_writer_csv(panel)
     line_rows = [
         (0.55, float(panel.zetas[k]), i, ln.frequency, ln.offset, ln.hwhm)
         for k in ok
@@ -486,3 +491,49 @@ def test_panel_csv_skips_a_failed_middle_point():
     ]
     header = ["tunneling_T", "zeta", "line_index", "frequency_mev", "offset_mev", "hwhm_mev"]
     assert panel_lines_csv(panel) == _writer_csv([header, *line_rows])
+
+
+def _panel_writer_csv(panel: SpectraPanel) -> str:
+    rows = [
+        (panel.tunneling, float(z), w, off, inten)
+        for z, status, spec in zip(panel.zetas, panel.statuses, panel.spectra)
+        if status == "ok"
+        for w, off, inten in zip(spec.frequencies.tolist(), spec.offsets.tolist(),
+                                 spec.intensities.tolist())
+    ]
+    return _writer_csv([["tunneling_T", "zeta", "omega_mev", "offset_mev", "intensity"], *rows])
+
+
+def test_panel_spectra_csv_matches_csv_writer_across_panels():
+    grid = np.array([1217.5, 1218.0, 1218.25, np.nextafter(1218.5, 2000.0), 1219.0])
+    shifted = grid - 0.125
+    failed_middle = SpectraPanel(
+        tunneling=0.01,
+        zetas=np.array([1e-3, 1e-2, 1e-1, 1.0, 10.0]),
+        statuses=("ok", "error:ValueError: omega1 != omega2", "ok", "ok", "ok"),
+        spectra=(_spectrum(grid, grid - 1218.0, 1.0), None,
+                 _spectrum(grid.copy(), grid - 1218.0, 2.0),
+                 _spectrum(shifted, shifted - 1218.0, 3.0),  # a second grid, shared too
+                 _spectrum(shifted.copy(), shifted - 1218.0, 4.0)),
+        lines=((), None, (), (), ()),
+    )
+    same_grid = SpectraPanel(
+        tunneling=1.0,
+        zetas=np.array([1e-3, 10.0]),
+        statuses=("ok", "ok"),
+        spectra=(_spectrum(grid.copy(), grid - 1218.0, 5e-324),
+                 _spectrum(grid.copy(), grid - 1218.0, np.inf)),
+        lines=((), ()),
+    )
+    for panel in (failed_middle, same_grid, same_grid, failed_middle):  # back to back
+        assert panel_spectra_csv(panel) == _panel_writer_csv(panel)
+
+
+def test_panels_on_one_grid_write_it_once(laucht):
+    panels = run_spectra_panel(
+        _low_pump(laucht), tunneling_values=[0.01, 0.1, 1.0], zeta_values=[1e-3, 1e-1], n_max=1,
+    )
+    sweep._rows_template.cache_clear()
+    texts = [panel_spectra_csv(panel) for panel in panels]
+    assert sweep._rows_template.cache_info().misses == 1
+    assert texts == [_panel_writer_csv(panel) for panel in panels]
