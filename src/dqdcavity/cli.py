@@ -294,6 +294,8 @@ def _spectrum_grid(ns: argparse.Namespace, params: ModelParams) -> np.ndarray:
         return default_omega_grid(params, points=ns.omega_points)
     if not hi > lo:
         raise CliConfigError(f"omega-max-mev ({hi}) must exceed omega-min-mev ({lo})")
+    if not np.isfinite(hi - lo):
+        raise CliConfigError(f"omega-max-mev ({hi}) minus omega-min-mev ({lo}) overflows")
     return np.linspace(lo, hi, ns.omega_points)
 
 
@@ -314,7 +316,7 @@ def _cmd_spectrum(ns: argparse.Namespace, params: ModelParams) -> int:
     }
     _emit(ns, params, data, lambda: csv_table(
         ["omega_mev", "offset_mev", "intensity"],
-        [(data["omega_mev"], data["offset_mev"], data["intensity"])],
+        [(result.frequencies, result.offsets, intensities)],
     ))
     return 0
 
@@ -326,6 +328,10 @@ def _cmd_g2(ns: argparse.Namespace, params: ModelParams) -> int:
     lo, hi = ns.tau_min_inv_kappa, ns.tau_max_inv_kappa
     if not 0.0 < lo < hi:
         raise CliConfigError("need 0 < tau-min-inv-kappa < tau-max-inv-kappa")
+    if lo / kappa == 0.0:
+        raise CliConfigError(f"tau-min-inv-kappa ({lo}) / kappa-mev ({kappa}) underflows to 0")
+    if not np.isfinite(hi / kappa):
+        raise CliConfigError(f"tau-max-inv-kappa ({hi}) / kappa-mev ({kappa}) overflows")
     taus = np.geomspace(lo / kappa, hi / kappa, ns.tau_points)
     pairs = g2(params, taus, n_max=ns.n_max)
     header = ["tau_hbar_per_mev", "tau_kappa", "g2"]

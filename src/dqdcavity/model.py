@@ -150,10 +150,11 @@ def thermal_occupation(delta: float, temperature: float) -> float:
         raise ValueError(f"temperature must be > 0, got {temperature!r}")
     x = delta / (BOLTZMANN_MEV_PER_K * temperature)
     # expm1 overflows past log(DBL_MAX), where 1/expm1(x) is exp(-x) to double
-    # precision; x underflows to 0 only where n_th overflows
+    # precision. Below 1/DBL_MAX the quotient overflows, which a Python float
+    # division rounds to inf without a warning; x underflows to 0 only there.
     if x > _LOG_DBL_MAX:
         return math.exp(-x)
-    return float(1.0 / np.expm1(x)) if x != 0.0 else math.inf
+    return 1.0 / float(np.expm1(x)) if x != 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -181,6 +182,8 @@ def phat_rates(params: ModelParams) -> PhatRates:
     """
     delta = params.omega2 - params.omega1
     n_th = thermal_occupation(abs(delta), params.temperature) if delta != 0.0 else 0.0
+    if params.zeta == 0.0:  # off even where n_th is inf, whose product with 0 is NaN
+        return PhatRates(0.0, 0.0, n_th, delta)
     downhill, uphill = (n_th + 1.0) * params.zeta, n_th * params.zeta
     gamma_t, p_t = (downhill, uphill) if delta > 0 else (uphill, downhill)
     return PhatRates(gamma_t, p_t, n_th, delta)

@@ -126,7 +126,7 @@ _QUOTED = frozenset(',"\r\n')
 
 
 def _format_cell(value) -> str:
-    """One cell as csv.writer writes it: a float at full double precision, None empty.
+    """One cell as csv.writer writes it: a float as "%.17g" % v, None empty.
 
     A formatted float never holds a delimiter, quote or line break, so only
     other values can need csv.writer's minimal quoting.
@@ -134,74 +134,61 @@ def _format_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return format(value, ".17g")
+        return "%.17g" % value
     text = str(value)
     if _QUOTED.isdisjoint(text):
         return text
     return '"' + text.replace('"', '""') + '"'
 
 
-def _format_column(column):
-    """The cells of a list or array column; any other value is one cell.
-
-    An array goes through .tolist() first, so its floats format as Python floats.
-    """
-    if isinstance(column, np.ndarray):
-        column = column.tolist()
-    elif not isinstance(column, list):
-        return _format_cell(column)
-    return list(map(_format_cell, column))
-
-
-def _is_float_column(column) -> bool:
-    return isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype == np.float64
-
-
 @functools.lru_cache(maxsize=1)
 def _rows_template(rows: int, slots: tuple) -> str:
     """The %-format of a block's rows: a bytes slot is a float64 column written out as text.
 
-    Every other slot is the conversion of one column. Formatted floats hold
-    no '%', so the text needs no escaping. The key is the columns' exact
-    bytes, so the panels of one figures call, which share one frequency
-    grid, write that grid out once.
+    One % pass writes the bytes columns through "%.17g" and turns every other
+    slot, escaped as "%%s" or "%%.17g", back into itself; formatted floats
+    hold no '%'. The key is the columns' exact bytes, so the panels of one
+    figures call, which share one frequency grid, write that grid out once.
     """
-    columns = [
-        _format_column(np.frombuffer(slot)) if isinstance(slot, bytes) else [slot] * rows
-        for slot in slots
-    ]
-    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+    grid = [np.frombuffer(slot).tolist() for slot in slots if isinstance(slot, bytes)]
+    row = ",".join("%.17g" if isinstance(slot, bytes) else "%" + slot for slot in slots)
+    return ((row + "\r\n") * rows) % tuple(itertools.chain.from_iterable(zip(*grid)))
 
 
 def _block_text(block: tuple, neighbours: tuple) -> str:
     """CSV lines of one block, each ended by CRLF as csv.writer ends it, from one % format.
 
-    A 1-D float64 array that a neighbouring block holds at the same position
-    is text of the row template. Any other such array fills a %.17g slot
-    with its floats ("%.17g" % v is format(v, ".17g")), and any other column
-    is formatted by _format_column and fills a %s slot.
+    The one place that decides template text: a 1-D float64 array whose bytes
+    equal the same-position column of a neighbouring block is text of the row
+    template. Any other such array fills a %.17g slot with its floats. Any
+    other list or array fills a %s slot with its formatted cells, and any
+    other value is one formatted cell repeated on every row.
     """
     slots, values, lengths = [], [], set()
     for j, column in enumerate(block):
-        if _is_float_column(column) and any(j < len(b) and b[j] is column for b in neighbours):
-            slots.append(column.tobytes())
+        if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype == np.float64:
             lengths.add(len(column))
+            data = column.tobytes()
+            if any(j < len(b) and isinstance(b[j], np.ndarray) and b[j].tobytes() == data
+                   for b in neighbours):
+                slots.append(data)
+            else:
+                slots.append("%.17g")
+                values.append(column.tolist())
             continue
-        if _is_float_column(column):
-            slot, cells = "%.17g", column.tolist()
-        else:
-            slot, cells = "%s", _format_column(column)
-            if len(block) == 1:  # csv.writer quotes a lone empty cell so that its row is not blank
-                cells = [c or '""' for c in cells] if isinstance(cells, list) else cells or '""'
-        slots.append(slot)
-        values.append(cells)
+        cells = column.tolist() if isinstance(column, np.ndarray) else column
         if isinstance(cells, list):
+            cells = list(map(_format_cell, cells))
             lengths.add(len(cells))
+        else:
+            cells = _format_cell(cells)
+        if len(block) == 1:  # csv.writer quotes a lone empty cell so that its row is not blank
+            cells = [c or '""' for c in cells] if isinstance(cells, list) else cells or '""'
+        slots.append("%s")
+        values.append(cells)
     if len(lengths) > 1:
         raise ValueError(f"columns of one block differ in length: {sorted(lengths)}")
     rows = lengths.pop() if lengths else 1
-    if rows == 0:
-        return ""
     if any(isinstance(slot, bytes) for slot in slots):
         template = _rows_template(rows, tuple(slots))
     else:
@@ -218,11 +205,11 @@ def csv_table(header, blocks) -> str:
     A block holds one entry per column: a list or array of the column's
     cells, or a single cell repeated on every row of the block, so a block of
     single cells is one row. Each block is written by one % format over a row
-    template. A float64 array that a neighbouring block holds at the same
-    position is text of that template, formatted once for every block whose
-    template holds the same bytes.
+    template. A float64 array whose bytes a neighbouring block holds at the
+    same position is text of that template, formatted once for every block
+    whose template holds the same bytes.
     The text is what csv.writer writes for the same rows with each float cell
-    formatted as format(v, ".17g") and each None as "".
+    formatted as "%.17g" % v (which is format(v, ".17g")) and each None as "".
     """
     blocks = [tuple(header), *map(tuple, blocks)]
     neighbours = zip([()] + blocks, blocks[1:] + [()])
@@ -385,19 +372,16 @@ def run_spectra_panel(
 def panel_spectra_csv(panel: SpectraPanel) -> str:
     """Long-format table (zeta, omega, offset, intensity) for one panel.
 
-    One block per spectrum; spectra whose grids match the previous one bit
-    for bit hand csv_table the same grid arrays, so it writes the grid as
-    text of one row template, which panels on the same grid share.
+    One block per spectrum, so csv_table writes a grid that neighbouring
+    spectra share bit for bit as text of one row template, which panels on
+    the same grid share too.
     """
-    blocks = []
-    grid = None
-    for z, status, spectrum in zip(panel.zetas, panel.statuses, panel.spectra):
-        if status != "ok" or spectrum is None:
-            continue
-        new_grid = (spectrum.frequencies, spectrum.offsets)
-        if grid is None or any(a.tobytes() != b.tobytes() for a, b in zip(grid, new_grid)):
-            grid = new_grid
-        blocks.append((float(panel.tunneling), float(z), *grid, spectrum.intensities))
+    blocks = [
+        (float(panel.tunneling), float(z), spectrum.frequencies, spectrum.offsets,
+         spectrum.intensities)
+        for z, status, spectrum in zip(panel.zetas, panel.statuses, panel.spectra)
+        if status == "ok" and spectrum is not None
+    ]
     return csv_table(["tunneling_T", "zeta", "omega_mev", "offset_mev", "intensity"], blocks)
 
 

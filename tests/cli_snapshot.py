@@ -122,6 +122,16 @@ CASES = {
                                    {"subcommand": "g2"}),
     "config_normalize_switch": (["spectrum", "--config", "{d}/run.json"],
                                 {"normalize": True, "n_max": 1, "omega_points": 11}),
+    # grid ends whose span or delays leave the double range: refused, exit code 1, one line
+    "spectrum_span_overflow": (["spectrum", "--n-max", "1", "--omega-min-mev=-1e308",
+                                "--omega-max-mev", "1e308", "--omega-points", "3"], None),
+    "g2_delay_overflow": (["g2", "--n-max", "1", "--kappa-mev", "1e-310", "--tau-points", "3"],
+                          None),
+    "g2_delay_underflow": (["g2", "--n-max", "1", "--kappa-mev", "1e10",
+                            "--tau-min-inv-kappa", "1e-320", "--tau-points", "3"], None),
+    # zeta 0 switches PhAT off even where n_th overflows, so this is the 4 K point's CSV
+    "steady_zeta_0_hot": (["steady", "--n-max", "1", "--zeta-mev", "0", "--temperature-k", "1e300",
+                           "--omega2-mev", "1218.0000000000002", "--format", "csv"], None),
 }
 
 _TIMESTAMP = re.compile(r'("timestamp": )"[^"]*"')

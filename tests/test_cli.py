@@ -272,16 +272,43 @@ def test_spectrum_eigendecomposition_failure_exits_two(capsys, monkeypatch):
         (["spectrum", "--omega-min-mev", "1219", "--omega-max-mev", "1217"], "must exceed"),
         (["g2", "--kappa-mev", "0"], "kappa > 0"),
         (["g2", "--tau-min-inv-kappa", "10", "--tau-max-inv-kappa", "1"], "tau-min-inv-kappa"),
+        # grid ends that leave the double range only once they are derived
+        (["spectrum", "--n-max", "1", "--omega-min-mev=-1e308", "--omega-max-mev", "1e308",
+          "--omega-points", "3"], "omega-max-mev (1e+308) minus omega-min-mev (-1e+308)"),
+        (["g2", "--n-max", "1", "--kappa-mev", "1e-310", "--tau-points", "3"],
+         "tau-max-inv-kappa (100.0) / kappa-mev (1e-310)"),
+        (["g2", "--n-max", "1", "--kappa-mev", "1e10", "--tau-min-inv-kappa", "1e-320",
+          "--tau-points", "3"], "tau-min-inv-kappa (1e-320) / kappa-mev (10000000000.0)"),
     ],
     ids=["kappa", "tau-max-inf", "omega-min-inf", "omega-min-only", "omega-max-only",
-         "omega-reversed", "g2-kappa-zero", "tau-reversed"],
+         "omega-reversed", "g2-kappa-zero", "tau-reversed", "omega-span-overflow",
+         "tau-max-overflow", "tau-min-underflow"],
 )
 def test_invalid_parameter_exits_one(tmp_path, capsys, argv, named):
-    code, out, err = _run(capsys, [*argv, "--out", str(tmp_path / "o")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, [*argv, "--out", str(tmp_path / "o")])
+    assert [str(w.message) for w in caught] == []
     assert code == 1
     assert named in err
+    assert err.count("\n") == 1
     assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_zeta_zero_point_does_not_depend_on_temperature(capsys):
+    # zeta 0 switches PhAT off, and temperature enters the model nowhere else,
+    # even where the phonon occupation overflows
+    argv = ["steady", "--n-max", "1", "--zeta-mev", "0", "--omega2-mev", "1218.0000000000002",
+            "--format", "csv"]
+    runs = []
+    for kelvin in ("4", "1e300"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs.append(_run(capsys, [*argv, "--temperature-k", kelvin]))
+        assert [str(w.message) for w in caught] == []
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][2] == ""
 
 
 def test_spectrum_range_sets_grid_ends(capsys):

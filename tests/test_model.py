@@ -42,15 +42,18 @@ def test_thermal_occupation_is_quiet_past_expm1_overflow():
 
 
 def test_thermal_occupation_is_a_python_float_on_every_branch():
-    # 1/expm1 below the overflow, exp(-x) past it, and inf where delta / (kB T)
-    # underflows to 0; none of them warns
+    # 1/expm1 below the overflow, exp(-x) past it, inf where 1/expm1 overflows
+    # (0 < delta / (kB T) < 1/DBL_MAX) and inf where delta / (kB T) underflows
+    # to 0; none of them warns
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = [thermal_occupation(0.1, 4.0), thermal_occupation(200.0, 1.0),
-                  thermal_occupation(1e-300, 1e300)]
-    assert [type(v) for v in values] == [float, float, float]
+                  thermal_occupation(1e-300, 1e300), thermal_occupation(1e-310, 4.0),
+                  thermal_occupation(1e-306, 4.0)]
+    assert [type(v) for v in values] == [float] * 5
     assert values[0] == 1.0 / np.expm1(0.1 / (BOLTZMANN_MEV_PER_K * 4.0))
-    assert values[2] == np.inf
+    assert values[2] == values[3] == np.inf
+    assert values[4] == 1.0 / np.expm1(1e-306 / (BOLTZMANN_MEV_PER_K * 4.0)) < np.inf
 
 
 def test_phat_rates_overflow_to_inf_without_a_warning():
@@ -58,6 +61,15 @@ def test_phat_rates_overflow_to_inf_without_a_warning():
         warnings.simplefilter("error")
         rates = phat_rates(preset("laucht-strong", zeta=1e308))
     assert (rates.gamma_T, rates.p_T) == (np.inf, np.inf)
+
+
+def test_zeta_zero_switches_phat_off_where_n_th_overflows():
+    hot = preset("laucht-strong", zeta=0.0, temperature=1e300, omega2=1218.0000000000002)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rates = phat_rates(hot)
+    assert rates.n_th == np.inf
+    assert (rates.gamma_T, rates.p_T) == (0.0, 0.0)
 
 
 def test_thermal_occupation_rejects_bad_input():

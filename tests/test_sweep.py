@@ -435,6 +435,36 @@ def test_csv_table_blocks_of_arrays_and_repeated_cells():
     assert csv_table(header, blocks) == _writer_csv([header, *rows])
 
 
+def _block_rows(blocks) -> list:
+    """The rows of csv_table blocks of cells and 1-D float arrays."""
+    return [
+        (head, *cells)
+        for head, *columns in blocks
+        for cells in zip(*(c.tolist() for c in columns))
+    ]
+
+
+def test_equal_grids_in_distinct_arrays_are_template_text():
+    # template text is decided by a column's bytes, not by which object holds them
+    grid = np.array([1217.5, 1218.0, np.nextafter(1218.25, 0.0), 1218.5, 1219.0])
+    blocks = [(0.1, grid, grid - 1218.0, np.arange(5.0)),
+              (0.2, grid.copy(), grid - 1218.0, np.arange(5.0) ** 2)]
+    header = ["zeta", "omega_mev", "offset_mev", "intensity"]
+    sweep._rows_template.cache_clear()
+    text = csv_table(header, blocks)
+    assert sweep._rows_template.cache_info().misses == 1
+    assert text == _writer_csv([header, *_block_rows(blocks)])
+
+
+def test_equal_value_columns_of_neighbours_match_csv_writer():
+    # two dark spectra: their all-zero intensities are template text of both blocks
+    grid = np.linspace(-1.0, 1.0, 7)
+    blocks = [(0.1, grid, np.zeros(7)), (0.2, grid.copy(), np.zeros(7)),
+              (0.3, grid.copy(), -0.0 * grid), (0.4, grid.copy(), grid ** 2)]
+    header = ["zeta", "offset_mev", "intensity"]
+    assert csv_table(header, blocks) == _writer_csv([header, *_block_rows(blocks)])
+
+
 def test_percent_format_writes_floats_as_format_does():
     # csv_table writes float64 columns through "%.17g" slots of one format string
     special = [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, -5e-324,
