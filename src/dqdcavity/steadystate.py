@@ -4,18 +4,20 @@ The stationary state keeps the excitation number N = photons + excitons on
 both sides (k = N_ket - N_bra = 0), so it is solved on the k = 0 block alone:
 m = 52 unknowns instead of d^2 = 256 at n_max 3. steady_state slices that
 block out of a dense generator; sector_steady_state builds it straight from
-the term table, and sector_steady_states builds and solves many points,
-_STACK at a time. This module alone sets that stack bound. Every route
-hands its complex blocks to one stacked solver. A generator that keeps
-Hermiticity makes each trace-row system real in the coordinates (rho_II,
-Re rho_IJ, Im rho_IJ); the solver inverts that real system with numpy and
-takes the exact 1-norm condition number from the inverse. The solved stack
-is read out in one pass: its solutions are divided by their traces, and
-||B||_inf and the residual B x of every block are taken at once. Only then
-does each point get, as a value, its own error (rcond floor, or a residual
-on the complex block that is not within bound, NaN included) or its
-density matrix, Hermitian by construction. steady_state, which may be
-handed any generator, also checks the residual on all of it.
+the term table, and sector_steady_states builds and solves many points, as
+many at a time as _STACK_BYTES of complex blocks hold (16 at n_max 3, 3 at
+n_max 7, 1 from n_max 9 up). This module alone sets that stack bound.
+Every route hands its complex blocks to one stacked solver. A generator
+that keeps Hermiticity makes each trace-row system real in the coordinates
+(rho_II, Re rho_IJ, Im rho_IJ); the solver writes those real systems in
+place, inverts them with numpy half a stack at a time and takes the exact
+1-norm condition number from the inverse. The solved stack is read out in
+one pass: its solutions are divided by their traces, and ||B||_inf and the
+residual B x of every block are taken at once. Only then does each point
+get, as a value, its own error (rcond floor, or a residual on the complex
+block that is not within bound, NaN included) or its density matrix,
+Hermitian by construction. steady_state, which may be handed any
+generator, also checks the residual on all of it.
 """
 
 from __future__ import annotations
@@ -41,9 +43,14 @@ _RCOND_FLOOR = 1e-13
 # holds the full generator L to ||L x||_inf <= _RTOL * ||L||_inf, which fails
 # when L moves weight out of the k = 0 sector
 _RTOL = 1e-10
-# points per stacked solve: bounds the scratch memory of sector_steady_states
-# and never changes a state, since each point's block and solve ignore the rest
-_STACK = 32
+# bytes of complex k = 0 blocks per stacked solve: bounds the scratch memory of
+# sector_steady_states and never changes a state, since each point's block and
+# solve ignore the rest. glibc's malloc keeps freed memory for reuse while it is
+# under twice the largest array it has unmapped (its trim threshold), here one
+# stack's blocks. The blocks, half a stack's real systems and inverses, and the
+# inverse's workspace (one block's bytes) stay under that from 4 points a stack
+# up, so a sweep at n_max 6 or below does not fault its scratch in every stack
+_STACK_BYTES = 680 * 1024
 
 
 class DensityMatrix(OperatorMatrix):
@@ -95,13 +102,19 @@ def sector_steady_states(coefs, basis: CompositeBasis):
 
     Yields, in row order, each point's DensityMatrix or its own
     DegenerateSteadyStateError or SteadyStateConvergenceError, as a value.
-    Rows are built and solved _STACK at a time, and lazily, so
-    at most one stack of blocks and states is held. Each state is
+    Rows are built and solved _stack_points(basis.n_max) at a time, and
+    lazily, so at most one stack of blocks and states is held. Each state is
     bit-identical to the point's own sector_steady_state.
     """
-    rows = iter(coefs)
-    while stack := list(itertools.islice(rows, _STACK)):
+    rows, size = iter(coefs), _stack_points(basis.n_max)
+    while stack := list(itertools.islice(rows, size)):
         yield from _block_states(basis, sector_blocks(np.array(stack), basis.n_max, 0))
+
+
+def _stack_points(n_max: int) -> int:
+    """Points per stacked solve at cutoff n_max: the k = 0 blocks _STACK_BYTES holds, at least 1."""
+    m = sector_indices(n_max, 0)[0].size
+    return max(1, _STACK_BYTES // (np.dtype(complex).itemsize * m * m))
 
 
 def _raised(state):
@@ -113,13 +126,17 @@ def _raised(state):
 def _block_states(basis: CompositeBasis, blocks: np.ndarray) -> list:
     ket, bra, _ = sector_indices(basis.n_max, 0)
     try:
-        xs, rconds = _solve_trace_rows(blocks, basis.dim)
+        # half a stack at a time: the stack's blocks and one half's systems and
+        # inverses then stay under the allocator's trim threshold (_STACK_BYTES)
+        halves = [_solve_trace_rows(half, basis.dim)
+                  for half in np.array_split(blocks, min(len(blocks), 2))]
     except np.linalg.LinAlgError:
         # one exactly singular system fails its whole stack; find it point by point
         if len(blocks) > 1:
             return [state for block in blocks for state in _block_states(basis, block[None])]
         return [DegenerateSteadyStateError(
             "trace-row system is singular: the stationary state is not unique")]
+    xs, rconds = map(np.concatenate, zip(*halves))
     # x lists the populations rho_II first, so their sum is the trace; a point
     # that fails the rcond floor may divide by 0 here, and is refused below
     with np.errstate(all="ignore"):
@@ -151,20 +168,26 @@ def _solve_trace_rows(blocks: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarra
     Raises LinAlgError when any R' is exactly singular.
     """
     h = (blocks.shape[-1] + d) // 2
-    top = blocks[:, :h]
+    top, low = blocks[:, :h], blocks[:, d:h]
     # a rate near DBL_MAX overflows here; its rcond, NaN or 0, refuses the point quietly
     with np.errstate(all="ignore"):
-        sums, diffs = top[..., d:h] + top[..., h:], top[..., d:h] - top[..., h:]
         systems = np.empty(blocks.shape)
-        systems[:, :h, :d], systems[:, h:, :d] = top[..., :d].real, top[:, d:, :d].imag
-        systems[:, :h, d:h], systems[:, h:, d:h] = sums.real, sums[:, d:].imag
-        systems[:, :h, h:], systems[:, h:, h:] = -diffs.imag, diffs[:, d:].real
+        systems[:, :h, :d], systems[:, h:, :d] = top[..., :d].real, low[..., :d].imag
+        # parts of the sums and differences of the rho_IJ and rho_JI columns, written
+        # in place; a difference is negated, not swapped, so its zeros keep their sign
+        np.add(top[..., d:h].real, top[..., h:].real, out=systems[:, :h, d:h])
+        np.add(low[..., d:h].imag, low[..., h:].imag, out=systems[:, h:, d:h])
+        np.subtract(top[..., d:h].imag, top[..., h:].imag, out=systems[:, :h, h:])
+        np.negative(systems[:, :h, h:], out=systems[:, :h, h:])
+        np.subtract(low[..., d:h].real, low[..., h:].real, out=systems[:, h:, h:])
         # T leaves row 0, rho_00's, as it is, so the trace row is set after it
         systems[:, 0] = 0.0
         systems[:, 0, :d] = 1.0
         inverses = np.linalg.inv(systems)
-        norms = np.abs(systems).sum(axis=1).max(axis=1) * np.abs(inverses).sum(axis=1).max(axis=1)
-    xs = inverses[:, :, 0].astype(complex)
+        xs = inverses[:, :, 0].astype(complex)
+        # neither array is read again, so each holds its own magnitudes
+        norms = np.abs(systems, out=systems).sum(axis=1).max(axis=1)
+        norms *= np.abs(inverses, out=inverses).sum(axis=1).max(axis=1)
     xs[:, d:h].imag = xs[:, h:].real
     xs[:, h:] = xs[:, d:h].conj()
     return xs, 1.0 / norms

@@ -6,7 +6,10 @@ Each case runs through ``dqdcavity.cli.main`` in this process and gets its own
 directory ``OUTDIR/<case>/`` holding the files it wrote plus ``stdout.txt``,
 ``stderr.txt`` and ``exit_code.txt``. JSON ``"timestamp"`` values and the
 OUTDIR path itself are masked afterwards, so two snapshots of the same
-program compare byte for byte:
+program compare byte for byte. Each case runs inside its own
+``warnings.catch_warnings()``, which resets Python's once-per-location
+warning registry, so a case's ``stderr.txt`` holds every warning it shows
+even when an earlier case showed one from the same source line:
 
     diff -r before/ after/
 
@@ -26,6 +29,7 @@ import json
 import os
 import re
 import sys
+import warnings
 
 from dqdcavity.cli import main
 
@@ -72,7 +76,8 @@ CASES = {
                             "--observables", "n_cavity,n_qd2,g2_zero",
                             "--out", "{d}/sweep.csv"], None),
     # the same cut-off dot on 72 points at parallelism 2: each chunk of 36 solves a full
-    # stack and a short one, and its failed points sit on both sides of the stack seam
+    # stack (33 points at n_max 2) and a short one, and the first chunk's failed points
+    # sit on both sides of that stack seam
     "sweep_stacked_solve_errors": (["sweep", *_SMALL, "--gamma2-mev", "0", "--g2-mev", "0",
                                     "--tunneling-mev", "0", "--zeta-mev", "0",
                                     "--axis1", "kappa:0.1:1:9", "--axis2", "pump2:1e-30:1e-2:8",
@@ -143,7 +148,7 @@ def _run_case(case_dir: str, argv: list[str], config) -> None:
         with open(os.path.join(case_dir, "run.json"), "w", encoding="utf-8") as fh:
             json.dump(config, fh)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([arg.replace("{d}", case_dir) for arg in argv])
     for name, text in (("stdout.txt", out.getvalue()), ("stderr.txt", err.getvalue()),
                        ("exit_code.txt", f"{code}\n")):

@@ -3,11 +3,16 @@ snapshot_compare tells rounding-level moves from real ones."""
 
 import csv
 import filecmp
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import cli_snapshot
+import dqdcavity
 import snapshot_compare
 
 
@@ -66,3 +71,34 @@ def test_compare_refuses_a_changed_stderr(snapshots, tmp_path, capsys):
         fh.write("warning\n")
     assert snapshot_compare.main([str(first), str(after)]) == 1
     assert "steady_json/stderr.txt: differs" in capsys.readouterr().out
+
+
+# two cases whose (stubbed) main warns from one source line, run by the real
+# snapshot() in a fresh interpreter, where warnings go to the case's stderr
+_TWO_CASES_ONE_WARNING = """
+import sys, warnings
+import cli_snapshot
+
+def main(argv):
+    warnings.warn("shown by every case", RuntimeWarning)
+    return 0
+
+cli_snapshot.main = main
+cli_snapshot.CASES = {"first": ([], None), "second": ([], None)}
+cli_snapshot.snapshot(sys.argv[1])
+"""
+
+
+def test_each_case_records_a_warning_an_earlier_case_showed(tmp_path):
+    # Python shows a warning once per source line under its default filter;
+    # each case still records it in its own stderr.txt
+    paths = [str(Path(__file__).parent), str(Path(dqdcavity.__file__).resolve().parents[1])]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [*paths, env.get("PYTHONPATH")]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-W", "default", "-c", _TWO_CASES_ONE_WARNING,
+                           str(tmp_path)], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    for case in ("first", "second"):
+        stderr = (tmp_path / case / "stderr.txt").read_text(encoding="utf-8")
+        assert "RuntimeWarning: shown by every case" in stderr

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,9 +24,10 @@ from dqdcavity import (
 )
 from dqdcavity.liouvillian import sector_blocks, sector_indices, term_coefficients
 from dqdcavity.steadystate import (
-    _STACK,
+    _STACK_BYTES,
     _block_states,
     _solve_trace_rows,
+    _stack_points,
     number_moments,
     sector_steady_state,
     sector_steady_states,
@@ -260,29 +262,49 @@ def test_stack_isolates_the_disconnected_point(laucht):
 
 
 def test_stacks_hold_at_most_the_stack_bound(laucht, monkeypatch):
-    # 2 * _STACK + 1 rows: two full stacks and one of a single row, built
-    # only as the states are taken
+    # 2 * stack + 1 rows: two full stacks and one of a single row, built only
+    # as the states are taken; the stack is 16 points at n_max 3 and 3 at 7
     rng = np.random.default_rng(16)
-    points = [laucht.replace(tunneling_T=t, zeta=z)
-              for t, z in 10.0 ** rng.uniform(-3, 1, (2 * _STACK + 1, 2))]
-    sizes = []
+    for n_max in (3, 7):
+        stack = _stack_points(n_max)
+        points = [laucht.replace(tunneling_T=t, zeta=z)
+                  for t, z in 10.0 ** rng.uniform(-3, 1, (2 * stack + 1, 2))]
+        sizes = []
 
-    def recorded(coefs, n_max, k):
-        sizes.append(len(coefs))
-        return sector_blocks(coefs, n_max, k)
+        def recorded(coefs, n_max, k):
+            sizes.append(len(coefs))
+            return sector_blocks(coefs, n_max, k)
 
-    monkeypatch.setattr(steadystate, "sector_blocks", recorded)
-    basis = CompositeBasis(3)
-    states = sector_steady_states(_coefficient_rows(points, 3), basis)
-    assert sizes == []
-    next(states)
-    assert sizes == [_STACK]
-    states = list(states)
-    assert max(sizes) <= _STACK and sum(sizes) == len(points)
-    monkeypatch.undo()
-    assert len(states) == len(points) - 1
-    for state, p in zip(states, points[1:]):
-        assert np.array_equal(state.entries, sector_steady_state(p, basis).entries)
+        monkeypatch.setattr(steadystate, "sector_blocks", recorded)
+        basis = CompositeBasis(n_max)
+        states = sector_steady_states(_coefficient_rows(points, n_max), basis)
+        assert sizes == []
+        next(states)
+        assert sizes == [stack]
+        states = list(states)
+        assert max(sizes) <= stack and sum(sizes) == len(points)
+        monkeypatch.undo()
+        assert len(states) == len(points) - 1
+        for state, p in zip(states, points[1:]):
+            assert np.array_equal(state.entries, sector_steady_state(p, basis).entries)
+
+
+def test_stack_scratch_stays_within_a_few_stack_budgets(laucht):
+    # 64 points at n_max 7 (116 x 116 blocks, 215 KB each) solve in stacks of
+    # 3: the blocks, real systems and inverses of one stack, the 64 states
+    # (16 KiB each) and the coefficient rows stay under 4 byte budgets
+    rng = np.random.default_rng(30)
+    points = [laucht.replace(tunneling_T=t, zeta=z) for t, z in 10.0 ** rng.uniform(-3, 1, (64, 2))]
+    rows, basis = _coefficient_rows(points, 7), CompositeBasis(7)
+    sector_steady_state(laucht, basis)  # fills the per-cutoff caches first
+    tracemalloc.start()
+    try:
+        states = list(sector_steady_states(rows, basis))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(state, steadystate.DensityMatrix) for state in states)
+    assert peak <= 4 * _STACK_BYTES
 
 
 def test_exactly_singular_block_fails_alone(laucht):
@@ -320,47 +342,50 @@ def test_block_residual_failure_stays_with_its_point(laucht, monkeypatch):
 
 
 def test_stacked_read_out_matches_the_single_point_route(laucht, monkeypatch):
-    # 2 * _STACK + 6 rows (70) solve as stacks of _STACK, _STACK and 6. Rows
-    # _STACK - 1 and _STACK, a cut-off dot on either side of the first seam,
-    # fail the rcond floor; row 2 * _STACK, the first of the last stack, gets
-    # the anti-Hermitian drift and fails the residual on B. Each row holds what
-    # the single-point route returns or raises, and nothing warns
+    # 2 * stack + 6 rows solve as stacks of 16, 16 and 6 at n_max 3 and four
+    # stacks of 3 at 7. Rows stack - 1 and stack, a cut-off dot on either side
+    # of the first seam, fail the rcond floor; row 2 * stack, the first after
+    # two full stacks, gets the anti-Hermitian drift and fails the residual on
+    # B. Each row holds what the single-point route returns or raises, and
+    # nothing warns
     rng = np.random.default_rng(25)
-    basis = CompositeBasis(3)
-    points = [laucht.replace(tunneling_T=t, zeta=z)
-              for t, z in 10.0 ** rng.uniform(-3, 1, (2 * _STACK + 6, 2))]
     cut = laucht.replace(gamma2=0.0, g2=0.0, tunneling_T=0.0, zeta=0.0, pump2=1e-30)
-    points[_STACK - 1], points[_STACK] = cut, cut.replace(kappa=0.5)
-    pos = sector_indices(3, 0)[2]
-    drift = _anti_hermitian_drift(basis)[np.ix_(pos, pos)]
-    marked = term_coefficients(points[2 * _STACK], 3)
+    for n_max in (3, 7):
+        stack, basis = _stack_points(n_max), CompositeBasis(n_max)
+        points = [laucht.replace(tunneling_T=t, zeta=z)
+                  for t, z in 10.0 ** rng.uniform(-3, 1, (2 * stack + 6, 2))]
+        points[stack - 1], points[stack] = cut, cut.replace(kappa=0.5)
+        pos = sector_indices(n_max, 0)[2]
+        drift = _anti_hermitian_drift(basis)[np.ix_(pos, pos)]
+        marked = term_coefficients(points[2 * stack], n_max)
 
-    def drifted(coefs, n_max, k):
-        blocks = sector_blocks(coefs, n_max, k)
-        blocks[(coefs == marked).all(axis=1)] += drift
-        return blocks
+        def drifted(coefs, n_max, k):
+            blocks = sector_blocks(coefs, n_max, k)
+            blocks[(coefs == marked).all(axis=1)] += drift
+            return blocks
 
-    monkeypatch.setattr(steadystate, "sector_blocks", drifted)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        states = list(sector_steady_states(_coefficient_rows(points, 3), basis))
-    assert len(states) == len(points)
-    refused = {_STACK - 1: DegenerateSteadyStateError, _STACK: DegenerateSteadyStateError,
-               2 * _STACK: SteadyStateConvergenceError}
-    for k, (state, p) in enumerate(zip(states, points)):
-        if k in refused:
-            assert type(state) is refused[k]
-            with pytest.raises(refused[k]) as solo:
-                sector_steady_state(p, basis)
-            assert str(state) == str(solo.value)
-        else:
-            assert np.array_equal(state.entries, sector_steady_state(p, basis).entries)
+        monkeypatch.setattr(steadystate, "sector_blocks", drifted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = list(sector_steady_states(_coefficient_rows(points, n_max), basis))
+        assert len(states) == len(points)
+        refused = {stack - 1: DegenerateSteadyStateError, stack: DegenerateSteadyStateError,
+                   2 * stack: SteadyStateConvergenceError}
+        for k, (state, p) in enumerate(zip(states, points)):
+            if k in refused:
+                assert type(state) is refused[k]
+                with pytest.raises(refused[k]) as solo:
+                    sector_steady_state(p, basis)
+                assert str(state) == str(solo.value)
+            else:
+                assert np.array_equal(state.entries, sector_steady_state(p, basis).entries)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("change", [{"kappa": 1e308}, {"tunneling_T": 1.7e308}], ids=["kappa", "T"])
 def test_read_out_of_a_refused_point_warns_no_more_than_its_solve(laucht, change):
-    # a rate near DBL_MAX overflows the solve, which warns and fails the rcond
-    # floor; normalizing and checking the stack must add no warning of its own
+    # a rate near DBL_MAX overflows the solve and fails the rcond floor, with
+    # no warning; normalizing and checking the stack must add none of its own
     basis = CompositeBasis(2)
     blocks = sector_blocks(_coefficient_rows([laucht, laucht.replace(**change)], 2), 2, 0)
     with warnings.catch_warnings(record=True) as solve:

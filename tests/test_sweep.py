@@ -21,7 +21,7 @@ from dqdcavity import (
     sweep,
     transition_lines,
 )
-from dqdcavity.steadystate import _STACK
+from dqdcavity.steadystate import _stack_points
 from dqdcavity.sweep import _map, csv_table
 
 
@@ -324,7 +324,7 @@ def test_stacked_rows_do_not_depend_on_parallelism(laucht):
         axis2=_axis("zeta", start=1e-3, stop=10.0, count=5),
         observables=("n_cavity", "n_qd1", "n_qd2", "g2_zero"), n_max=3,
     )
-    assert 9 * 5 > _STACK
+    assert 9 * 5 > _stack_points(3)
     serial = run_sweep(spec, parallelism=1)
     assert all(row["status"] == "ok" for row in serial.rows)
     for parallelism in (2, 7):
@@ -363,7 +363,7 @@ def test_states_stay_with_their_points_after_failed_points(laucht):
     for spec, statuses in (_failing_before_the_solve(laucht), _failing_in_the_solve(laucht)):
         serial = run_sweep(spec, parallelism=1)
         assert [row["status"] for row in serial.rows] == statuses
-        assert len(statuses) > _STACK
+        assert len(statuses) > _stack_points(spec.n_max)
         for parallelism in (2, 3):
             assert run_sweep(spec, parallelism=parallelism).rows == serial.rows
         for row in serial.rows:
