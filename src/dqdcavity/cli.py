@@ -31,12 +31,14 @@ from .steadystate import steady_observables
 from .sweep import (
     SweepAxis,
     SweepSpec,
+    _panel_spectra_texts,
     csv_table,
     panel_lines_csv,
-    panel_spectra_csv,
     run_spectra_panel,
     run_sweep,
 )
+# bound here only because perfbench/tracing.py patches it under this name
+from .sweep import panel_spectra_csv  # noqa: F401
 
 SCHEMA_VERSION = "dqdcavity-output-v1"
 
@@ -236,16 +238,17 @@ def _envelope(ns: argparse.Namespace, params: ModelParams, data,
     }
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, chunks) -> None:
+    """Write an iterable of text chunks to path, one chunk at a time."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _write_sidecar(ns: argparse.Namespace, params: ModelParams, path: str,
                    extra_metadata: dict | None = None) -> None:
     """Run metadata for the CSV at path, written to path + '.meta.json'."""
     sidecar = _envelope(ns, params, {"file": os.path.basename(path)}, extra_metadata)
-    _write(path + ".meta.json", json.dumps(sidecar, indent=2, sort_keys=True))
+    _write(path + ".meta.json", [json.dumps(sidecar, indent=2, sort_keys=True)])
 
 
 def _emit(ns: argparse.Namespace, params: ModelParams, data, csv_text,
@@ -265,7 +268,7 @@ def _emit(ns: argparse.Namespace, params: ModelParams, data, csv_text,
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        _write(ns.out, text)
+        _write(ns.out, [text])
         if csv_format:
             _write_sidecar(ns, params, ns.out, extra_metadata)
 
@@ -400,28 +403,33 @@ def _cmd_figures(ns: argparse.Namespace, params: ModelParams) -> int:
         )
         result = run_sweep(spec, parallelism=ns.parallelism)
         path = os.path.join(outdir, name)
-        _write(path, result.to_csv())
+        _write(path, [result.to_csv()])
         _write_sidecar(ns, table_params, path, {"sweep": result.metadata})
         written.extend([name, name + ".meta.json"])
+
+    def emit_panel(tunneling: float, zetas: np.ndarray) -> None:
+        """Run one Fig. 2 panel and write its tables, the spectra a block at a time."""
+        (panel,) = run_spectra_panel(
+            params, [tunneling], zetas, n_max=ns.n_max, parallelism=ns.parallelism
+        )
+        tag = _figure_tag(panel.tunneling)
+        for name, chunks in ((f"fig2_spectra_T{tag}.csv", _panel_spectra_texts(panel)),
+                             (f"fig2_lines_T{tag}.csv", [panel_lines_csv(panel)])):
+            _write(os.path.join(outdir, name), chunks)
+            written.append(name)
+        for z, status in zip(panel.zetas, panel.statuses):
+            if status != "ok":
+                print(f"warning: panel T={panel.tunneling:g} zeta={z:g} failed: {status}",
+                      file=sys.stderr)
 
     if ns.which in ("1", "all"):
         emit_sweep("fig1_populations.csv", params, ("n_cavity", "n_qd1", "n_qd2"), ns.n_max)
 
     if ns.which in ("2", "all"):
+        # one panel is held at a time, and written as soon as it is computed
         zetas = np.geomspace(1e-3, 10.0, ns.zeta_points)
-        panels = run_spectra_panel(
-            params, _FIG2_TUNNELING, zetas, n_max=ns.n_max, parallelism=ns.parallelism
-        )
-        for panel in panels:
-            tag = _figure_tag(panel.tunneling)
-            for name, text in ((f"fig2_spectra_T{tag}.csv", panel_spectra_csv(panel)),
-                               (f"fig2_lines_T{tag}.csv", panel_lines_csv(panel))):
-                _write(os.path.join(outdir, name), text)
-                written.append(name)
-            for z, status in zip(panel.zetas, panel.statuses):
-                if status != "ok":
-                    print(f"warning: panel T={panel.tunneling:g} zeta={z:g} failed: {status}",
-                          file=sys.stderr)
+        for tunneling in _FIG2_TUNNELING:
+            emit_panel(tunneling, zetas)
 
     if ns.which in ("3", "all"):
         emit_sweep("fig3_left_g2.csv", params, ("g2_zero",), ns.n_max)

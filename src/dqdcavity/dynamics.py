@@ -31,9 +31,11 @@ _AMPLITUDE_CUTOFF = 1e-14
 _PEAK_REL_PROMINENCE = 0.05
 # default spectrum window: this far either side of the cavity energy (meV)
 _OMEGA_HALF_SPAN = 3.0
-# grid points per block of a mode sum: the (modes x block) temporaries stay in
-# cache and are reused, where a whole grid's are fresh pages on every call
-_KERNEL_BLOCK = 256
+# bytes of one (modes x block) complex temporary of a mode sum: under glibc's
+# default 128 KiB mmap threshold, so each comes from the heap and is reused
+# whatever an earlier free did to that threshold, where a whole grid's
+# temporaries are fresh pages on every call
+_KERNEL_BYTES = 120 * 1024
 
 
 def lorentzian_sum(omegas: np.ndarray, amplitudes: np.ndarray, poles: np.ndarray) -> np.ndarray:
@@ -54,7 +56,8 @@ def lorentzian_sum(omegas: np.ndarray, amplitudes: np.ndarray, poles: np.ndarray
     if amplitudes.shape != poles.shape:
         raise ValueError("amplitudes and poles must have identical shapes")
     return _mode_sum(
-        omegas, lambda w: (amplitudes[:, None] / (-poles[:, None] - 1j * w[None, :])).real
+        omegas, lambda w: (amplitudes[:, None] / (-poles[:, None] - 1j * w[None, :])).real,
+        poles.size,
     )
 
 
@@ -65,17 +68,26 @@ def exp_decay_sum(taus: np.ndarray, weights: np.ndarray, rates: np.ndarray) -> n
     rates = np.asarray(rates, dtype=complex)
     if weights.shape != rates.shape:
         raise ValueError("weights and rates must have identical shapes")
-    return _mode_sum(taus, lambda t: weights[:, None] * np.exp(rates[:, None] * t[None, :]))
+    return _mode_sum(
+        taus, lambda t: weights[:, None] * np.exp(rates[:, None] * t[None, :]), rates.size
+    )
 
 
-def _mode_sum(grid: np.ndarray, terms) -> np.ndarray:
-    """np.sum(terms(grid), axis=0), evaluated at most _KERNEL_BLOCK grid points at a time.
+def _block_points(modes: int) -> int:
+    """Grid points per block of a mode sum over modes terms: _KERNEL_BYTES of complex, at least 2."""
+    return max(2, _KERNEL_BYTES // (16 * max(1, modes)))
 
-    The blocks are near-equal, so no block of a grid of two or more points has
-    a single point: numpy sums one column pairwise instead of mode by mode,
-    which would move the last bits of that point.
+
+def _mode_sum(grid: np.ndarray, terms, modes: int) -> np.ndarray:
+    """np.sum(terms(grid), axis=0) for terms of shape (modes, points), a block at a time.
+
+    Each block holds _block_points(modes) grid points, and the last one up to
+    one more, so no block of a grid of two or more points has a single point:
+    numpy sums one column pairwise instead of mode by mode, which would move
+    the last bits of that point.
     """
-    blocks = np.array_split(grid, max(1, -(-grid.size // _KERNEL_BLOCK)))
+    step = _block_points(modes)
+    blocks = np.split(grid, range(step, grid.size - 1, step))
     return np.concatenate([np.sum(terms(block), axis=0) for block in blocks])
 
 

@@ -15,12 +15,14 @@ d^2 x d^2 array of zeros, so its slices are the sector blocks exactly.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .hilbert import CompositeBasis, frozen_array, level_counts
-from .model import ModelParams, coefficients, model_terms
+from .model import ModelParams, coefficients, model_terms, phat_rates
 # bound here only because perfbench/tracing.py patches them under these names
 from .model import hamiltonian, jump_operators  # noqa: F401
 
@@ -120,9 +122,22 @@ def _sector_terms(n_max: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def term_coefficients(params: ModelParams, n_max: int) -> np.ndarray:
-    """Every model_terms coefficient of params, energies, couplings and channels in table order."""
+    """Every model_terms coefficient of params, energies, couplings and channels in table order.
+
+    Raises NumericalError naming each coefficient that is not finite because
+    the phonon occupation overflowed. A finite rate near DBL_MAX whose PhAT
+    product overflows is left to the solve, which refuses it as singular.
+    """
     energies, couplings, channels = model_terms(n_max)
-    return np.array(coefficients(params, [*energies, *couplings, *channels]), dtype=float)
+    names = [*energies, *couplings, *channels]
+    values = coefficients(params, names)
+    # one scalar test per point: a Python float sum overflows to inf without a warning
+    if not math.isfinite(sum(values)) and not math.isfinite(phat_rates(params).n_th):
+        bad = [f"{n} = {v}" for n, v in zip(names, values) if not math.isfinite(v)]
+        if bad:
+            raise NumericalError(f"model coefficients are not finite: {', '.join(bad)} "
+                                 f"(phonon occupation n_th = inf)")
+    return np.array(values, dtype=float)
 
 
 def sector_blocks(coefs: np.ndarray, n_max: int, k: int) -> np.ndarray:

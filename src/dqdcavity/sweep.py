@@ -199,21 +199,34 @@ def _block_text(block: tuple, neighbours: tuple) -> str:
     return template % tuple(args)
 
 
+def _csv_texts(header, blocks):
+    """The CSV text of csv_table, yielded one block at a time.
+
+    Each block is formatted once the next one is in hand, so at most three
+    blocks of an iterable of blocks are held at once.
+    """
+    previous, block = (), tuple(header)
+    for upcoming in map(tuple, blocks):
+        yield _block_text(block, (previous, upcoming))
+        previous, block = block, upcoming
+    yield _block_text(block, (previous, ()))
+
+
 def csv_table(header, blocks) -> str:
     """CSV text of a header row and blocks of rows, each block given column by column.
 
     A block holds one entry per column: a list or array of the column's
     cells, or a single cell repeated on every row of the block, so a block of
     single cells is one row. Each block is written by one % format over a row
-    template. A float64 array whose bytes a neighbouring block holds at the
-    same position is text of that template, formatted once for every block
-    whose template holds the same bytes.
+    template. A float64 array whose bytes a neighbouring block (the previous
+    or the next) holds at the same position is text of that template,
+    formatted once for every block whose template holds the same bytes.
     The text is what csv.writer writes for the same rows with each float cell
     formatted as "%.17g" % v (which is format(v, ".17g")) and each None as "".
+    It is the join of the blocks' texts, which a writer can also take one
+    block at a time (_csv_texts).
     """
-    blocks = [tuple(header), *map(tuple, blocks)]
-    neighbours = zip([()] + blocks, blocks[1:] + [()])
-    return "".join(map(_block_text, blocks, neighbours))
+    return "".join(_csv_texts(header, blocks))
 
 
 def _map(fn, tasks: list, parallelism: int) -> list:
@@ -369,6 +382,17 @@ def run_spectra_panel(
     return panels
 
 
+def _panel_spectra_texts(panel: SpectraPanel):
+    """panel_spectra_csv's text, yielded one spectrum's block at a time."""
+    blocks = (
+        (float(panel.tunneling), float(z), spectrum.frequencies, spectrum.offsets,
+         spectrum.intensities)
+        for z, status, spectrum in zip(panel.zetas, panel.statuses, panel.spectra)
+        if status == "ok" and spectrum is not None
+    )
+    return _csv_texts(["tunneling_T", "zeta", "omega_mev", "offset_mev", "intensity"], blocks)
+
+
 def panel_spectra_csv(panel: SpectraPanel) -> str:
     """Long-format table (zeta, omega, offset, intensity) for one panel.
 
@@ -376,13 +400,7 @@ def panel_spectra_csv(panel: SpectraPanel) -> str:
     spectra share bit for bit as text of one row template, which panels on
     the same grid share too.
     """
-    blocks = [
-        (float(panel.tunneling), float(z), spectrum.frequencies, spectrum.offsets,
-         spectrum.intensities)
-        for z, status, spectrum in zip(panel.zetas, panel.statuses, panel.spectra)
-        if status == "ok" and spectrum is not None
-    ]
-    return csv_table(["tunneling_T", "zeta", "omega_mev", "offset_mev", "intensity"], blocks)
+    return "".join(_panel_spectra_texts(panel))
 
 
 def panel_lines_csv(panel: SpectraPanel) -> str:

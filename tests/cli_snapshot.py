@@ -137,6 +137,9 @@ CASES = {
     # zeta 0 switches PhAT off even where n_th overflows, so this is the 4 K point's CSV
     "steady_zeta_0_hot": (["steady", "--n-max", "1", "--zeta-mev", "0", "--temperature-k", "1e300",
                            "--omega2-mev", "1218.0000000000002", "--format", "csv"], None),
+    # at zeta 0.01 the same point's PhAT rates are inf: refused by name, exit code 2
+    "steady_rate_not_finite": (["steady", "--n-max", "1", "--temperature-k", "1e300",
+                                "--omega2-mev", "1218.0000000000002"], None),
 }
 
 _TIMESTAMP = re.compile(r'("timestamp": )"[^"]*"')

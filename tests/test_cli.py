@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,8 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import dqdcavity
-from dqdcavity import errors, load_output_schema, preset
+from dqdcavity import errors, load_output_schema, panel_lines_csv, panel_spectra_csv, preset
+from dqdcavity import run_spectra_panel
 from dqdcavity.cli import main
 
 
@@ -215,6 +217,29 @@ def test_sweep_over_rates_near_dbl_max_writes_error_rows_alone(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 4
     assert {row["status"] for row in rows} == {"error:DegenerateSteadyStateError"}
+
+
+_HOT = ["--n-max", "1", "--omega2-mev", "1218.0000000000002"]
+_NOT_FINITE = ("model coefficients are not finite: gamma_T = inf, p_T = inf "
+               "(phonon occupation n_th = inf)")
+
+
+def test_rate_that_is_not_finite_is_refused_by_name(capsys):
+    # at zeta 0.01 and 1e300 K the phonon occupation overflows, so both PhAT
+    # rates are inf: refused before any block is built, not as a singular solve
+    argv = ["sweep", *_HOT, "--axis1", "temperature:1e299:1e300:2", "--axis2", "zeta:0.01:1:2",
+            "--format", "csv"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, ["steady", *_HOT, "--temperature-k", "1e300"])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == f"numerical failure: {_NOT_FINITE}"
+        code, out, err = _run(capsys, argv)
+    assert [str(w.message) for w in caught] == []
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 4
+    assert {(row["status"], row["error"]) for row in rows} == {("error:NumericalError", _NOT_FINITE)}
 
 
 def test_numerical_errors_share_one_base():
@@ -463,6 +488,30 @@ def test_figures_panel_files(tmp_path, capsys):
         io.StringIO((tmp_path / "fig2_lines_T0p01.csv").read_text())
     ))
     assert len(lines_rows) == 3 * 3  # three lines per zeta point
+
+
+def test_figures_writes_the_panel_tables_one_panel_at_a_time(tmp_path, capsys):
+    # the files hold what panel_spectra_csv and panel_lines_csv write for the
+    # same panels, and no panel's CSV text is held whole: the traced peak stays
+    # below the size of the largest file written
+    argv = ["figures", "--which", "2", "--zeta-points", "16", "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    zetas = np.geomspace(1e-3, 10.0, 16)
+    largest = 0
+    for panel in run_spectra_panel(preset("laucht-strong"), [0.01, 0.55, 5.0], zetas):
+        tag = format(panel.tunneling, "g").replace(".", "p")
+        spectra = (tmp_path / f"fig2_spectra_T{tag}.csv").read_bytes()
+        assert spectra == panel_spectra_csv(panel).encode()
+        assert (tmp_path / f"fig2_lines_T{tag}.csv").read_bytes() == panel_lines_csv(panel).encode()
+        largest = max(largest, len(spectra))
+    assert peak < largest
 
 
 def test_figures_warns_about_failed_panel_points(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dqdcavity import exp_decay_sum, lorentzian_sum
-from dqdcavity.dynamics import _KERNEL_BLOCK
+from dqdcavity.dynamics import _block_points
 
 
 def test_lorentzian_sum_single_pole_closed_form():
@@ -38,13 +38,17 @@ def _modes(count):
     return amplitudes, poles
 
 
-@pytest.mark.parametrize("points", [0, 1, _KERNEL_BLOCK, _KERNEL_BLOCK + 1, 3 * _KERNEL_BLOCK + 7],
-                         ids=["empty", "one", "one_block", "past_a_block", "blocks"])
-@pytest.mark.parametrize("count", [0, 46])
+@pytest.mark.parametrize("points", [
+    lambda block: 0, lambda block: 1, lambda block: block, lambda block: block + 1,
+    lambda block: 3 * block + 7,
+], ids=["empty", "one", "one_block", "past_a_block", "blocks"])
+@pytest.mark.parametrize("count", [0, 46, 1024])
 def test_kernels_match_the_one_shot_sum_bit_for_bit(points, count):
     # the one-shot sums over a whole (modes x grid) array; a block of one point
     # would be summed pairwise by numpy, so a grid just past a block boundary
-    # must not leave its last point alone
+    # must not leave its last point alone. 1024 modes is g2's dense mode count
+    # at n_max 7, a few points per block
+    points = points(_block_points(count))
     amplitudes, poles = _modes(count)
     omegas = np.linspace(-3.0, 3.0, points)
     taus = np.linspace(0.0, 40.0, points)

@@ -22,7 +22,8 @@ from dqdcavity import (
     unvec,
     vec,
 )
-from dqdcavity.liouvillian import _sector_terms, sector_block, sector_indices
+from dqdcavity.errors import NumericalError
+from dqdcavity.liouvillian import _sector_terms, sector_block, sector_indices, term_coefficients
 from dqdcavity.model import model_terms
 from dqdcavity.steadystate import sector_steady_state
 
@@ -170,6 +171,24 @@ def test_generator_entries_are_read_only_and_shape_checked(laucht):
         lop.entries[0, 0] = 1.0
     with pytest.raises(ValueError):
         SuperoperatorMatrix(basis, np.zeros((3, 3), dtype=complex))
+
+
+def test_term_coefficients_refuse_a_coefficient_that_is_not_finite(laucht):
+    hot = laucht.replace(temperature=1e300, omega2=1218.0000000000002)
+    for build in (lambda: term_coefficients(hot, 1), lambda: build_liouvillian(hot, CompositeBasis(1)),
+                  lambda: sector_block(hot, CompositeBasis(1), 1)):
+        with pytest.raises(NumericalError, match=r"^model coefficients are not finite: "
+                                                 r"gamma_T = inf, p_T = inf \(phonon occupation "
+                                                 r"n_th = inf\)$"):
+            build()
+    # finite coefficients whose sum overflows, with or without an infinite
+    # occupation, and a PhAT product that overflows at a finite occupation,
+    # are left to the solve
+    for change in ({"kappa": 1e308, "cavity_pump": 1e308},
+                   {"kappa": 1e308, "cavity_pump": 1e308, "zeta": 0.0, "temperature": 1e300},
+                   {"zeta": 1e308}):
+        coefs = term_coefficients(hot.replace(temperature=4.0).replace(**change), 1)
+        assert coefs.max() >= 1e308
 
 
 def _random_params(rng, *, gains=True, zeta=True):

@@ -3,6 +3,7 @@ snapshot_compare tells rounding-level moves from real ones."""
 
 import csv
 import filecmp
+import json
 import os
 import shutil
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 import cli_snapshot
 import dqdcavity
 import snapshot_compare
+import snapshot_digests
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +104,19 @@ def test_each_case_records_a_warning_an_earlier_case_showed(tmp_path):
     for case in ("first", "second"):
         stderr = (tmp_path / case / "stderr.txt").read_text(encoding="utf-8")
         assert "RuntimeWarning: shown by every case" in stderr
+
+
+def test_snapshot_writes_the_pinned_bytes(tmp_path):
+    # the byte gate in tier-1: a fresh interpreter writes every pinned file
+    # with the SHA-256 that tests/snapshot_digests.json holds
+    paths = [str(Path(__file__).parent), str(Path(dqdcavity.__file__).resolve().parents[1])]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [*paths, env.get("PYTHONPATH")]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, cli_snapshot.__file__, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    want = json.loads(snapshot_digests.MANIFEST.read_text(encoding="utf-8"))
+    got = snapshot_digests.digests(tmp_path)
+    moved = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+    assert moved == [], f"files that differ from {snapshot_digests.MANIFEST.name}: {moved}"
