@@ -31,10 +31,12 @@ _AMPLITUDE_CUTOFF = 1e-14
 _PEAK_REL_PROMINENCE = 0.05
 # default spectrum window: this far either side of the cavity energy (meV)
 _OMEGA_HALF_SPAN = 3.0
-# bytes of one (modes x block) complex temporary of a mode sum: under glibc's
-# default 128 KiB mmap threshold, so each comes from the heap and is reused
-# whatever an earlier free did to that threshold, where a whole grid's
-# temporaries are fresh pages on every call
+# bytes of one (modes x block) complex temporary of a mode sum, the last block's
+# extra point included, up to 2,560 modes (the 2-point floor goes past it
+# above): under glibc's default 128 KiB mmap threshold, so the temporaries come
+# from the heap whatever an earlier free did to that threshold. Warm calls then
+# reuse them; a fresh process still faults more than with 256-point blocks
+# (CHANGES.md gives both counts)
 _KERNEL_BYTES = 120 * 1024
 
 
@@ -74,8 +76,12 @@ def exp_decay_sum(taus: np.ndarray, weights: np.ndarray, rates: np.ndarray) -> n
 
 
 def _block_points(modes: int) -> int:
-    """Grid points per block of a mode sum over modes terms: _KERNEL_BYTES of complex, at least 2."""
-    return max(2, _KERNEL_BYTES // (16 * max(1, modes)))
+    """Grid points per block of a mode sum over modes terms, at least 2.
+
+    One point fewer than _KERNEL_BYTES of complex holds, so the last block,
+    which may take one extra point, fits the budget too.
+    """
+    return max(2, _KERNEL_BYTES // (16 * max(1, modes)) - 1)
 
 
 def _mode_sum(grid: np.ndarray, terms, modes: int) -> np.ndarray:

@@ -124,20 +124,16 @@ def _sector_terms(n_max: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 def term_coefficients(params: ModelParams, n_max: int) -> np.ndarray:
     """Every model_terms coefficient of params, energies, couplings and channels in table order.
 
-    Raises NumericalError naming each coefficient that is not finite because
-    the phonon occupation overflowed. A finite rate near DBL_MAX whose PhAT
-    product overflows is left to the solve, which refuses it as singular.
+    Raises NumericalError naming gamma_T and p_T when the phonon occupation
+    overflowed to inf and made them infinite. A finite rate near DBL_MAX whose
+    PhAT product overflows is left to the solve, which refuses it as singular.
     """
+    rates = phat_rates(params)
+    if math.isinf(rates.n_th) and rates.gamma_T != 0.0:
+        raise NumericalError(f"model coefficients are not finite: gamma_T = {rates.gamma_T}, "
+                             f"p_T = {rates.p_T} (phonon occupation n_th = inf)")
     energies, couplings, channels = model_terms(n_max)
-    names = [*energies, *couplings, *channels]
-    values = coefficients(params, names)
-    # one scalar test per point: a Python float sum overflows to inf without a warning
-    if not math.isfinite(sum(values)) and not math.isfinite(phat_rates(params).n_th):
-        bad = [f"{n} = {v}" for n, v in zip(names, values) if not math.isfinite(v)]
-        if bad:
-            raise NumericalError(f"model coefficients are not finite: {', '.join(bad)} "
-                                 f"(phonon occupation n_th = inf)")
-    return np.array(values, dtype=float)
+    return np.array(coefficients(params, [*energies, *couplings, *channels]), dtype=float)
 
 
 def sector_blocks(coefs: np.ndarray, n_max: int, k: int) -> np.ndarray:
