@@ -34,9 +34,7 @@ _OMEGA_HALF_SPAN = 3.0
 # bytes of one (modes x block) complex temporary of a mode sum, the last block's
 # extra point included, up to 2,560 modes (the 2-point floor goes past it
 # above): under glibc's default 128 KiB mmap threshold, so the temporaries come
-# from the heap whatever an earlier free did to that threshold. Warm calls then
-# reuse them; a fresh process still faults more than with 256-point blocks
-# (CHANGES.md gives both counts)
+# from the heap whatever an earlier free did to that threshold
 _KERNEL_BYTES = 120 * 1024
 
 
