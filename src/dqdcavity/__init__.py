@@ -18,7 +18,6 @@ from .dynamics import (
     find_spectrum_peaks,
     g2,
     g2_zero,
-    g2_zero_from_state,
     lorentzian_sum,
     pl_spectrum,
     two_time_correlation,
@@ -122,7 +121,6 @@ __all__ = [
     "find_spectrum_peaks",
     "g2",
     "g2_zero",
-    "g2_zero_from_state",
     "hamiltonian",
     "jump_operators",
     "liouvillian_block_crosscheck",

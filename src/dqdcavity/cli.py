@@ -31,6 +31,7 @@ from .steadystate import steady_observables
 from .sweep import (
     SweepAxis,
     SweepSpec,
+    _OBSERVABLES,
     _panel_spectra_texts,
     csv_table,
     panel_lines_csv,
@@ -157,7 +158,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--axis2", default="zeta:0.001:10:40",
                    help="name:start:stop:count, log spaced (default %(default)s)")
     p.add_argument("--observables", default="n_cavity,n_qd1,n_qd2",
-                   help="comma list from n_cavity,n_qd1,n_qd2,g2_zero,transition_lines")
+                   help="comma list from " + ",".join(_OBSERVABLES))
     p.add_argument("--parallelism", type=_at_least(1), default=1,
                    help="threads, each solving one contiguous chunk of the grid in stacks; "
                         "the output does not depend on it (default 1)")
@@ -365,13 +366,7 @@ def _cmd_sweep(ns: argparse.Namespace, params: ModelParams) -> int:
             "observable 'spectrum' is not representable in a flat sweep table; "
             "use the figures command"
         )
-    spec = SweepSpec(
-        params=params,
-        axis1=axis1,
-        axis2=axis2,
-        observables=observables,
-        n_max=ns.n_max,
-    )
+    spec = SweepSpec(params, axis1, axis2, observables, ns.n_max)
     result = run_sweep(spec, parallelism=ns.parallelism)
     data = {
         "columns": list(result.columns),

@@ -368,16 +368,11 @@ def _photon_number(n_avg: float) -> float:
 
 def g2_zero(params: ModelParams, *, n_max: int = 3) -> float:
     """g2(0) = <a^dag a^dag a a> / <a^dag a>^2 from the steady state alone."""
-    return g2_zero_from_state(sector_steady_state(params, CompositeBasis(n_max)))
+    return g2_zero_from_moments(number_moments(sector_steady_state(params, CompositeBasis(n_max))))
 
 
-def g2_zero_from_state(rho: DensityMatrix) -> float:
-    """Equal-time g2 evaluated on an already-computed steady state."""
-    return g2_zero_from_moments(number_moments(rho))
-
-
-def g2_zero_from_moments(moments: np.ndarray) -> float:
-    """Equal-time g2 from a state's steadystate.number_moments."""
+def g2_zero_from_moments(moments) -> float:
+    """Equal-time g2 from a state's steadystate.number_moments, as an array or a list."""
     n_avg, _, _, pairs = moments
     return float(pairs) / _photon_number(n_avg) ** 2
 

@@ -5,8 +5,8 @@ both sides (k = N_ket - N_bra = 0), so it is solved on the k = 0 block alone:
 m = 52 unknowns instead of d^2 = 256 at n_max 3. steady_state slices that
 block out of a dense generator; sector_steady_state builds it straight from
 the term table, and sector_steady_states builds and solves many points, as
-many at a time as _STACK_BYTES of complex blocks hold (16 at n_max 3, 3 at
-n_max 7, 1 from n_max 9 up). This module alone sets that stack bound.
+many at a time as _STACK_BYTES of complex blocks hold and never fewer than 4
+(16 at n_max 3, 4 from n_max 6 up). This module alone sets that stack bound.
 Every route hands its complex blocks to one stacked solver. A generator
 that keeps Hermiticity makes each trace-row system real in the coordinates
 (rho_II, Re rho_IJ, Im rho_IJ); the solver writes those real systems in
@@ -44,12 +44,13 @@ _RCOND_FLOOR = 1e-13
 # when L moves weight out of the k = 0 sector
 _RTOL = 1e-10
 # bytes of complex k = 0 blocks per stacked solve: bounds the scratch memory of
-# sector_steady_states and never changes a state, since each point's block and
-# solve ignore the rest. glibc's malloc keeps freed memory for reuse while it is
-# under twice the largest array it has unmapped (its trim threshold), here one
-# stack's blocks. The blocks, half a stack's real systems and inverses, and the
-# inverse's workspace (one block's bytes) stay under that from 4 points a stack
-# up, so a sweep at n_max 6 or below does not fault its scratch in every stack
+# sector_steady_states from n_max 6 down and never changes a state, since each
+# point's block and solve ignore the rest. glibc's malloc keeps freed memory for
+# reuse while it is under twice the largest array it has unmapped (its trim
+# threshold), here one stack's blocks. The blocks, half a stack's real systems
+# and inverses, and the inverse's workspace (one block's bytes) stay under that
+# from 4 points a stack up, so _stack_points never stacks fewer: a sweep at any
+# cutoff then reuses its scratch instead of faulting it in every stack
 _STACK_BYTES = 680 * 1024
 
 
@@ -112,9 +113,9 @@ def sector_steady_states(coefs, basis: CompositeBasis):
 
 
 def _stack_points(n_max: int) -> int:
-    """Points per stacked solve at cutoff n_max: the k = 0 blocks _STACK_BYTES holds, at least 1."""
+    """Points per stacked solve at cutoff n_max: the k = 0 blocks _STACK_BYTES holds, at least 4."""
     m = sector_indices(n_max, 0)[0].size
-    return max(1, _STACK_BYTES // (np.dtype(complex).itemsize * m * m))
+    return max(4, _STACK_BYTES // (np.dtype(complex).itemsize * m * m))
 
 
 def _raised(state):
@@ -218,12 +219,7 @@ def number_moments(rho: DensityMatrix) -> np.ndarray:
     return _number_rows(rho.basis.n_max) @ rho.entries.diagonal().real
 
 
-def occupations(moments: np.ndarray) -> dict[str, float]:
-    """Photon number and the two exciton populations from a state's number_moments."""
-    n_cavity, n_qd1, n_qd2, _ = moments
-    return {"n_cavity": float(n_cavity), "n_qd1": float(n_qd1), "n_qd2": float(n_qd2)}
-
-
 def steady_observables(params: ModelParams, n_max: int = 3) -> dict[str, float]:
     """Stationary occupations: photons and the two exciton populations."""
-    return occupations(number_moments(sector_steady_state(params, CompositeBasis(n_max))))
+    n_cavity, n_qd1, n_qd2, _ = number_moments(sector_steady_state(params, CompositeBasis(n_max)))
+    return {"n_cavity": float(n_cavity), "n_qd1": float(n_qd1), "n_qd2": float(n_qd2)}

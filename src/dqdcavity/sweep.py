@@ -8,7 +8,11 @@ that module owns the stack bound, solving a stack of points per numpy call
 that releases the interpreter lock, and no point's result depends on its
 stack. A point that fails with a ValueError or an errors.NumericalError (for
 example zeta > 0 with zero detuning) is an error row that holds no values;
-any other exception is a bug and ends the sweep.
+any other exception is a bug and ends the sweep. One table, _OBSERVABLES,
+lists what a point can record: each observable's columns, its source (the k = 0
+state's number moments, or the N = 1 transition lines) and its read-out. A
+point computes a source only if a requested observable reads it, so a sweep of
+transition lines alone solves no steady state.
 """
 
 from __future__ import annotations
@@ -29,14 +33,31 @@ from .hilbert import CompositeBasis, frozen_array
 from .liouvillian import term_coefficients
 from .manifold import TransitionLine, transition_lines
 from .model import ModelParams
-from .steadystate import number_moments, occupations, sector_steady_states
+from .steadystate import number_moments, sector_steady_states
 # bound here only because perfbench/tracing.py patches them under these names
 from .hilbert import annihilation, qubit_lowering  # noqa: F401
 from .liouvillian import build_liouvillian  # noqa: F401
 from .steadystate import steady_state  # noqa: F401
 
-SCALAR_OBSERVABLES = ("n_cavity", "n_qd1", "n_qd2", "g2_zero")
-ALLOWED_OBSERVABLES = SCALAR_OBSERVABLES + ("transition_lines",)
+# where read-outs take their input, each from a point's params and its solved k = 0
+# state. Only "moments" (the number moments as Python floats) reads the state, so a
+# sweep that needs none of it solves nothing; "lines" looks transition_lines up in
+# this module at call time
+_SOURCES = {"moments": lambda point, rho: number_moments(rho).tolist(),
+            "lines": lambda point, rho: transition_lines(point)}
+
+# the one list of sweep observables: name -> (its columns, its source, and its read-out
+# from the source's value to the columns' values, Python floats). Columns follow table
+# order, and a point computes once each source that its observables name
+_OBSERVABLES = {
+    "n_cavity": (("n_cavity",), "moments", lambda moments: (moments[0],)),
+    "n_qd1": (("n_qd1",), "moments", lambda moments: (moments[1],)),
+    "n_qd2": (("n_qd2",), "moments", lambda moments: (moments[2],)),
+    "g2_zero": (("g2_zero",), "moments", lambda moments: (g2_zero_from_moments(moments),)),
+    "transition_lines": (
+        tuple(f"line{k}_{q}_mev" for k in (1, 2, 3) for q in ("frequency", "hwhm")), "lines",
+        lambda lines: tuple(v for line in lines for v in (line.frequency, line.hwhm))),
+}
 
 _PARAM_NAMES = tuple(f.name for f in dataclasses.fields(ModelParams))
 
@@ -82,26 +103,25 @@ class SweepSpec:
     n_max: int = 3
 
     def __post_init__(self):
+        if isinstance(self.observables, str):
+            raise ValueError(f"observables must be a sequence of names, got {self.observables!r}")
         object.__setattr__(self, "observables", tuple(self.observables))
         for name in self.observables:
-            if name not in ALLOWED_OBSERVABLES:
-                raise ValueError(
-                    f"unknown observable {name!r}; expected one of {', '.join(ALLOWED_OBSERVABLES)}"
-                )
+            if name not in _OBSERVABLES:
+                known = ", ".join(_OBSERVABLES)
+                raise ValueError(f"unknown observable {name!r}; expected one of {known}")
         if not self.observables:
             raise ValueError("at least one observable is required")
         if self.axis1.name == self.axis2.name:
             raise ValueError(f"both axes sweep {self.axis1.name!r}; axes must differ")
         CompositeBasis(self.n_max)  # raises on an invalid cutoff
 
+    def _entries(self) -> list[tuple]:
+        return [entry for name, entry in _OBSERVABLES.items() if name in self.observables]
+
     def columns(self) -> tuple[str, ...]:
-        cols = [self.axis1.name, self.axis2.name]
-        cols += [name for name in SCALAR_OBSERVABLES if name in self.observables]
-        if "transition_lines" in self.observables:
-            for k in (1, 2, 3):
-                cols += [f"line{k}_frequency_mev", f"line{k}_hwhm_mev"]
-        cols += ["status", "error"]
-        return tuple(cols)
+        values = (c for columns, _, _ in self._entries() for c in columns)
+        return (self.axis1.name, self.axis2.name, *values, "status", "error")
 
 
 @dataclass(frozen=True)
@@ -265,24 +285,19 @@ def _evaluate(spec: SweepSpec, tasks: list) -> list[dict]:
         return point, term_coefficients(point, spec.n_max)
 
     def read_out(point, rho):
-        values = {}
-        if wants_state:
-            moments = number_moments(rho)
-            values = {k: v for k, v in occupations(moments).items() if k in columns}
-            if "g2_zero" in spec.observables:
-                values["g2_zero"] = g2_zero_from_moments(moments)
-        if "transition_lines" in spec.observables:
-            for k, line in enumerate(transition_lines(point), start=1):
-                values[f"line{k}_frequency_mev"] = line.frequency
-                values[f"line{k}_hwhm_mev"] = line.hwhm
+        inputs, values = {}, {}
+        for columns, source, read in entries:
+            if source not in inputs:
+                inputs[source] = _SOURCES[source](point, rho)
+            values.update(zip(columns, read(inputs[source])))
         return values
 
     # the solver builds a stack ahead of the rows, so builds overlap other threads' solves
     outcomes, ahead = itertools.tee(_attempt(build, *task) for task in tasks)
     coefs = (o[1] for o in ahead if not isinstance(o, Exception))
     states = sector_steady_states(coefs, CompositeBasis(spec.n_max))
-    wants_state = any(name in spec.observables for name in SCALAR_OBSERVABLES)
-    columns = spec.columns()
+    entries, columns = spec._entries(), spec.columns()
+    wants_state = any(source == "moments" for _, source, _ in entries)
     rows = []
     for (value1, value2), outcome in zip(tasks, outcomes):
         if not isinstance(outcome, Exception):

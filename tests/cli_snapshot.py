@@ -90,6 +90,10 @@ CASES = {
                                  "--observables", "n_cavity,g2_zero,transition_lines",
                                  "--out", "{d}/sweep.csv"], None),
     "sweep_rejects_spectrum": (["sweep", *_SMALL, "--observables", "n_cavity,spectrum"], None),
+    # observables named out of order: the columns keep the sweep's own fixed order
+    "sweep_observables_out_of_order": (["sweep", *_SMALL, *_GRID,
+                                        "--observables", "transition_lines,g2_zero,n_qd1",
+                                        "--out", "{d}/sweep.csv"], None),
     "figures_2": (["figures", *_SMALL, "--which", "2", "--zeta-points", "3",
                    "--parallelism", "2", "--out", "{d}/fig"], None),
     "figures_2_all_fail": (["figures", *_SMALL, *_DEGENERATE, "--which", "2",

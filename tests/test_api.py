@@ -35,7 +35,6 @@ PUBLIC_NAMES = {
     "find_spectrum_peaks",
     "g2",
     "g2_zero",
-    "g2_zero_from_state",
     "hamiltonian",
     "jump_operators",
     "liouvillian_block_crosscheck",

@@ -263,7 +263,7 @@ def test_stack_isolates_the_disconnected_point(laucht):
 
 def test_stacks_hold_at_most_the_stack_bound(laucht, monkeypatch):
     # 2 * stack + 1 rows: two full stacks and one of a single row, built only
-    # as the states are taken; the stack is 16 points at n_max 3 and 3 at 7
+    # as the states are taken; the stack is 16 points at n_max 3 and 4 at 7
     rng = np.random.default_rng(16)
     for n_max in (3, 7):
         stack = _stack_points(n_max)
@@ -291,7 +291,7 @@ def test_stacks_hold_at_most_the_stack_bound(laucht, monkeypatch):
 
 def test_stack_scratch_stays_within_a_few_stack_budgets(laucht):
     # 64 points at n_max 7 (116 x 116 blocks, 215 KB each) solve in stacks of
-    # 3: the blocks, real systems and inverses of one stack, the 64 states
+    # 4: the blocks, real systems and inverses of one stack, the 64 states
     # (16 KiB each) and the coefficient rows stay under 4 byte budgets
     rng = np.random.default_rng(30)
     points = [laucht.replace(tunneling_T=t, zeta=z) for t, z in 10.0 ** rng.uniform(-3, 1, (64, 2))]
@@ -342,8 +342,8 @@ def test_block_residual_failure_stays_with_its_point(laucht, monkeypatch):
 
 
 def test_stacked_read_out_matches_the_single_point_route(laucht, monkeypatch):
-    # 2 * stack + 6 rows solve as stacks of 16, 16 and 6 at n_max 3 and four
-    # stacks of 3 at 7. Rows stack - 1 and stack, a cut-off dot on either side
+    # 2 * stack + 6 rows solve as stacks of 16, 16 and 6 at n_max 3 and of 4,
+    # 4, 4 and 2 at 7. Rows stack - 1 and stack, a cut-off dot on either side
     # of the first seam, fail the rcond floor; row 2 * stack, the first after
     # two full stacks, gets the anti-Hermitian drift and fails the residual on
     # B. Each row holds what the single-point route returns or raises, and

@@ -18,9 +18,11 @@ from dqdcavity import (
     pl_spectrum,
     run_spectra_panel,
     run_sweep,
+    steady_observables,
     sweep,
     transition_lines,
 )
+from dqdcavity import cli
 from dqdcavity.steadystate import _stack_points
 from dqdcavity.sweep import _map, csv_table
 
@@ -62,6 +64,9 @@ def test_spec_validation(laucht):
         SweepSpec(params=laucht, axis1=_axis(), axis2=_axis("zeta"), n_max=0)
     with pytest.raises(ValueError, match="n_max must be an integer >= 1, got 2.5"):
         SweepSpec(params=laucht, axis1=_axis(), axis2=_axis("zeta"), n_max=2.5)
+    # a bare name is refused as a whole, not split into one-letter names
+    with pytest.raises(ValueError, match="sequence of names, got 'n_cavity'"):
+        SweepSpec(params=laucht, axis1=_axis(), axis2=_axis("zeta"), observables="n_cavity")
 
 
 def test_columns_follow_observables(laucht):
@@ -74,6 +79,47 @@ def test_columns_follow_observables(laucht):
     assert cols[-2:] == ("status", "error")
     lean = SweepSpec(params=laucht, axis1=_axis(), axis2=_axis("zeta"))
     assert "line1_frequency_mev" not in lean.columns()
+    # named in reverse, the columns still follow the table's order
+    spec = SweepSpec(params=laucht, axis1=_axis(), axis2=_axis("zeta"),
+                     observables=("transition_lines", "g2_zero", "n_qd2", "n_qd1", "n_cavity"))
+    lines = tuple(f"line{k}_{q}_mev" for k in (1, 2, 3) for q in ("frequency", "hwhm"))
+    assert spec.columns() == ("tunneling_T", "zeta", "n_cavity", "n_qd1", "n_qd2", "g2_zero",
+                              *lines, "status", "error")
+
+
+def test_one_table_entry_adds_an_observable(laucht, monkeypatch, capsys, tmp_path):
+    # an observable is one entry of the table: the spec's check, its columns,
+    # the rows, the CLI help and the CLI's output all follow it
+    n_total = (("n_total",), "moments", lambda moments: (sum(moments[:3]),))
+    monkeypatch.setitem(sweep._OBSERVABLES, "n_total", n_total)
+    cli._build_parser.cache_clear()
+    try:
+        spec = SweepSpec(params=laucht, axis1=_axis(count=2), axis2=_axis("zeta", count=2),
+                         observables=("n_total", "n_qd1"), n_max=2)
+        assert spec.columns() == ("tunneling_T", "zeta", "n_qd1", "n_total", "status", "error")
+        for row in run_sweep(spec).rows:
+            occupations = steady_observables(
+                laucht.replace(tunneling_T=row["tunneling_T"], zeta=row["zeta"]), n_max=2)
+            assert row["n_qd1"] == occupations["n_qd1"]
+            assert row["n_total"] == pytest.approx(sum(occupations.values()), rel=1e-14)
+            assert type(row["n_total"]) is float
+        monkeypatch.setenv("COLUMNS", "500")  # the help on one line
+        with pytest.raises(SystemExit):
+            cli.main(["sweep", "--help"])
+        assert "comma list from n_cavity,n_qd1,n_qd2,g2_zero,transition_lines,n_total" in (
+            capsys.readouterr().out)
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--n-max", "2", "--axis1", "tunneling_T:0.01:1:2",
+                         "--axis2", "zeta:0.01:1:2", "--observables", "n_total",
+                         "--out", str(out)]) == 0
+        rows = list(csv.reader(io.StringIO(out.read_text(encoding="utf-8"))))
+        assert rows[0] == ["tunneling_T", "zeta", "n_total", "status", "error"]
+        lean = SweepSpec(params=laucht, axis1=_axis(start=0.01, count=2),
+                         axis2=_axis("zeta", start=0.01, count=2), observables=("n_total",),
+                         n_max=2)
+        assert [float(r[2]) for r in rows[1:]] == [r["n_total"] for r in run_sweep(lean).rows]
+    finally:
+        cli._build_parser.cache_clear()
 
 
 def test_small_sweep_smoke(laucht):
